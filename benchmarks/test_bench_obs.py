@@ -8,17 +8,18 @@ through every layer (server -> service -> executor worker -> engine
 steps), so this bench is the proof that the ``if trace:`` guards and
 the per-request span records stay off the critical path.
 
-Results (both timings, the overhead ratio and a parity flag) land in
+The gate is the median overhead over ``N_PAIRS`` paired runs, each
+pair running the traced and untraced server back to back in
+alternating order.  Results (median timings, the median overhead and
+its quartiles, and a parity flag) land in
 ``.artifacts/results/BENCH_obs.json`` — written *before* the gate
 assertion, so the artifact records a failing run too.  Runs in the CI
-benchmark smoke job (not marked ``slow``): ~30 s on one CPU core.
+benchmark smoke job (not marked ``slow``): ~80 s on two CPU cores.
 """
-
-import time
 
 import numpy as np
 import pytest
-from conftest import dump_result
+from conftest import dump_result, paired_times, ratio_quartiles
 
 from repro.api import Client, RunRequest
 from repro.config import SimulationConfig
@@ -28,6 +29,10 @@ N_REQUESTS = 128
 N_CONNECTIONS = 64
 MAX_BATCH = 32
 MAX_OVERHEAD = 0.03
+# Paired traced/untraced trials; the gate is on the median per-pair
+# overhead.  A single best-of ratio spread from -17% to +14% between
+# runs of the same code, far wider than the 3% it gates.
+N_PAIRS = 41
 
 BASE = SimulationConfig(
     n_cells=32, particles_per_cell=10, n_steps=150, vth=0.01, seed=0
@@ -63,17 +68,6 @@ def _run_workload(tracing: bool) -> list:
             return [future.result(timeout=600) for future in futures]
 
 
-def _interleaved_best(fns, repeats: int = 3) -> list[float]:
-    """Best-of timing with the contenders interleaved per repeat."""
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
-
-
 @pytest.fixture(scope="module")
 def measurements() -> dict:
     # Parity pass (doubles as warm-up): tracing must not change one bit
@@ -94,20 +88,24 @@ def measurements() -> dict:
                 a, b, err_msg=f"tracing changed the result in {name!r}"
             )
 
-    t_on, t_off = _interleaved_best(
-        [lambda: _run_workload(True), lambda: _run_workload(False)]
+    times_on, times_off = paired_times(
+        lambda: _run_workload(True), lambda: _run_workload(False), N_PAIRS
     )
+    t_on, t_off = float(np.median(times_on)), float(np.median(times_off))
+    quartiles = ratio_quartiles(times_on, times_off)
     return {
         "n_requests": N_REQUESTS,
         "n_connections": N_CONNECTIONS,
         "max_batch_size": MAX_BATCH,
         "n_steps": BASE.n_steps,
         "n_scenarios": len(_SCENARIOS),
+        "n_pairs": N_PAIRS,
         "t_tracing_on_s": t_on,
         "t_tracing_off_s": t_off,
         "requests_per_s_on": N_REQUESTS / t_on,
         "requests_per_s_off": N_REQUESTS / t_off,
-        "overhead": t_on / t_off - 1.0,
+        "overhead": quartiles["median"],
+        "overhead_quartiles": quartiles,
         "max_overhead": MAX_OVERHEAD,
         "bitwise_parity": True,
     }
@@ -115,12 +113,14 @@ def measurements() -> dict:
 
 def test_tracing_overhead_under_3_percent(measurements, results_dir):
     print()
-    print(f"  tracing off: {measurements['t_tracing_off_s'] * 1e3:8.1f} ms  "
+    print(f"  tracing off: {measurements['t_tracing_off_s'] * 1e3:8.1f} ms median  "
           f"({measurements['requests_per_s_off']:6.1f} req/s)")
-    print(f"  tracing on:  {measurements['t_tracing_on_s'] * 1e3:8.1f} ms  "
+    print(f"  tracing on:  {measurements['t_tracing_on_s'] * 1e3:8.1f} ms median  "
           f"({measurements['requests_per_s_on']:6.1f} req/s)")
-    print(f"  overhead: {measurements['overhead'] * 100:+6.2f}%  "
-          f"(bar: <{MAX_OVERHEAD * 100:.0f}%)")
+    q = measurements["overhead_quartiles"]
+    print(f"  overhead: {measurements['overhead'] * 100:+6.2f}% median of "
+          f"{N_PAIRS} pairs (IQR {q['q1'] * 100:+.2f}% .. {q['q3'] * 100:+.2f}%; "
+          f"bar: <{MAX_OVERHEAD * 100:.0f}%)")
     dump_result(results_dir, "BENCH_obs", measurements)
     assert measurements["overhead"] < MAX_OVERHEAD, (
         f"tracing costs {measurements['overhead'] * 100:.2f}% on the "

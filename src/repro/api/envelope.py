@@ -606,18 +606,23 @@ class RunResult:
         served: "SimulationResult",
         submit_status: str,
         wall_s: "float | None" = None,
+        timings: "Mapping[str, Any] | None" = None,
     ) -> "RunResult":
         """Wrap a service-layer result in the public schema.
 
         The service's per-delivery stage breakdown (``batch_wait_s``,
         ``queue_wait_s``, ``exec_s``, ``store_s``, ``trace_id``) is
-        carried over from ``served.timings``; ``wall_s`` — the only
-        client-observed stage — is stamped on top.  DL results also
-        carry the serving model's fingerprint as
+        carried over from ``timings`` when given (a store hit's
+        :attr:`~repro.service.service.StoreHitFuture.timings`), else
+        from ``served.timings``; ``wall_s`` — the only client-observed
+        stage — is stamped on top.  DL results also carry the serving
+        model's fingerprint as
         ``metadata["model_fingerprint"]`` — metadata rides the wire
         envelope, so remote clients see the exact model identity too.
         """
-        timings = dict(getattr(served, "timings", None) or {})
+        if timings is None:
+            timings = getattr(served, "timings", None)
+        timings = dict(timings or {})
         if wall_s is not None:
             timings["wall_s"] = wall_s
         metadata = dict(request.metadata)

@@ -126,7 +126,9 @@ class InProcessTransport:
                 if root:
                     root.set_attribute("error", f"{type(exc).__name__}: {exc}")
             else:
-                result = RunResult.from_service(request, served, status, wall)
+                result = RunResult.from_service(
+                    request, served, status, wall, timings=getattr(done, "timings", None)
+                )
             if root:
                 root.finish()
             if trace:

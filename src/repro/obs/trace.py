@@ -22,9 +22,9 @@ attribute lookup when tracing is off.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -61,15 +61,24 @@ _SCALARS = (str, int, float, bool)
 
 
 def new_trace_id() -> str:
-    """A fresh 32-hex-char trace id."""
+    """A fresh 32-hex-char (128 random bits) trace id."""
 
-    return uuid.uuid4().hex
+    return f"{random.getrandbits(128):032x}"
 
 
 def new_span_id() -> str:
-    """A fresh 16-hex-char span id."""
+    """A fresh 16-hex-char (64 random bits) span id.
 
-    return uuid.uuid4().hex[:16]
+    Ids come from the in-process ``random`` generator (seeded from the
+    OS, and reseeded in forked children), not from ``os.urandom`` or
+    ``uuid.uuid4``: their ``getrandom`` syscall releases the GIL, and
+    on a busy server the calling thread then waits behind the engine
+    thread to get it back.  A traced request mints about eight ids;
+    with ``uuid4`` they cost about 3% of the wall time of the
+    closed-loop tracing benchmark.
+    """
+
+    return f"{random.getrandbits(64):016x}"
 
 
 def _clean_attr(value):

@@ -85,8 +85,23 @@ class PhaseSpaceGrid:
 
 
 def _x_bins(x: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """NGP spatial bin index (cell containment), periodic."""
-    return np.floor(np.mod(x, grid.box_length) / grid.dx).astype(np.int64) % grid.n_x
+    """NGP spatial bin index (cell containment), periodic.
+
+    Positions from the PIC cycle are already wrapped to ``[0, L)``, and
+    there ``np.mod`` is an identity (``-0.0`` bins like ``+0.0``) and
+    truncation equals ``floor``, so in-range input skips both passes.
+    A power-of-two ``n_x`` wraps the index by bit mask, which equals
+    ``% n_x`` for every integer.  The result is identical to
+    ``floor(mod(x, L) / dx) % n_x`` for every input.
+    """
+    n_x = grid.n_x
+    if x.size and 0.0 <= x.min() and x.max() < grid.box_length:
+        j = (x / grid.dx).astype(np.int64)
+    else:
+        j = np.floor(np.mod(x, grid.box_length) / grid.dx).astype(np.int64)
+    if n_x & (n_x - 1) == 0:
+        return j & (n_x - 1)
+    return j % n_x
 
 
 def _v_bins(v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:

@@ -15,7 +15,22 @@ resulting traditional PIC method is momentum conserving.
 All routines are fully vectorized: deposits use ``np.add.at`` on index
 arrays, gathers use fancy indexing.  Positions are assumed periodic on
 ``[0, L)``; callers should wrap positions first (``Grid1D.wrap``),
-although a single wrap is also applied defensively here.
+although a single wrap is also applied defensively here (skipped when
+the positions are already in range, as they always are in the PIC
+cycle, whose mover wraps the particles that crossed a boundary).
+
+The gather itself is stateless.  The PIC engine
+(``repro.pic.simulation.EnsembleSimulation``) calls it once per step
+and caches the result for the next step, which starts with the same
+gather; while cached, the engine's positions and field arrays are
+read-only.
+
+The batched CIC gather and the float32 CIC deposit
+index grid rows padded with two periodic ghost nodes, so the stencil
+nodes ``j`` and ``j + 1`` need no index wrap.  The gather reads the same
+field samples, so it stays bitwise; the float32 deposit folds the ghost
+nodes back onto nodes 0 and 1, a different summation order that only
+the float32 tier's tolerance admits.
 
 Every routine accepts either a single run — ``positions`` of shape
 ``(n,)`` — or a stacked ensemble of independent runs — ``positions`` of
@@ -132,14 +147,20 @@ def _ngp_indices(x: np.ndarray, grid: Grid1D) -> np.ndarray:
     return _wrap_indices(_floor_indices(x / grid.dx + 0.5), grid.n_cells)
 
 
-def _cic_indices_weights(
-    x: np.ndarray, grid: Grid1D
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Left/right node indices and weights for linear interpolation."""
+def _cic_floor_frac(x: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Unwrapped left node index (in ``[0, n_cells]``) and right weight."""
     s = x / grid.dx
     j = _floor_indices(s)
     # float32 - int64 would promote to float64; keep the tier's dtype.
     frac = s - (j if s.dtype == np.float64 else j.astype(s.dtype))
+    return j, frac
+
+
+def _cic_indices_weights(
+    x: np.ndarray, grid: Grid1D
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Left/right node indices and weights for linear interpolation."""
+    j, frac = _cic_floor_frac(x, grid)
     j_left = _wrap_indices(j, grid.n_cells)
     j_right = _wrap_indices(j + 1, grid.n_cells)
     return j_left, j_right, 1.0 - frac, frac
@@ -230,6 +251,21 @@ def deposit(
 
             if order == "ngp":
                 scatter(_ngp_indices(xs, grid), np.ascontiguousarray(ws))
+            elif order == "cic" and xs.dtype == np.float32:
+                # float32 tier: scatter into rows padded with two ghost
+                # nodes and fold those onto nodes 0 and 1, so neither
+                # index is wrapped.  The fold sums node 0/1 in a
+                # different order than the wrapped scatter, a rounding
+                # difference the tier's tolerance allows.
+                j, frac = _cic_floor_frac(xs, grid)
+                n_ext = grid.n_cells + 2
+                ext = np.zeros((hi - lo, n_ext), dtype=xs.dtype)
+                idx = ((np.arange(hi - lo, dtype=np.int64) * n_ext)[:, None] + j).ravel()
+                ext_flat = ext.reshape(-1)
+                np.add.at(ext_flat, idx, (ws * (1.0 - frac)).ravel())
+                np.add.at(ext_flat[1:], idx, (ws * frac).ravel())
+                ext[:, :2] += ext[:, -2:]
+                out[lo:hi] = ext[:, :-2]
             elif order == "cic":
                 jl, jr, wl, wr = _cic_indices_weights(xs, grid)
                 scatter(jl, ws * wl)
@@ -297,7 +333,6 @@ def gather(
             f"field has shape {field.shape}, expected ({grid.n_cells},) or "
             f"({batch}, {grid.n_cells}) for batched positions"
         )
-
     # ngp copies field samples verbatim; the weighted orders promote the
     # field against the positions-dtype weights exactly as the reference
     # expressions always have.
@@ -312,13 +347,27 @@ def gather(
                 out[lo:hi], cfield[lo:hi], x[lo:hi], grid.dx, jit.ORDER_CODES[order]
             )
     else:
+        if order == "cic":
+            # Field rows padded with two periodic ghost nodes (copies of
+            # nodes 0 and 1): the stencil then reads nodes j and j + 1
+            # for any unwrapped j in [0, n_cells] without wrapping either
+            # index.  Same field samples, same bits; four fewer passes.
+            rows = field if per_row else field[None]
+            n_ext = grid.n_cells + 2
+            ext = np.concatenate([rows, rows[:, :2]], axis=1).reshape(-1)
+            ext_offs = (np.arange(batch, dtype=np.int64) * (n_ext if per_row else 0))[:, None]
+
         def slab(lo: int, hi: int) -> None:
             xs = x[lo:hi]
             if order == "ngp":
                 out[lo:hi] = pick(_ngp_indices(xs, grid), lo)
             elif order == "cic":
-                jl, jr, wl, wr = _cic_indices_weights(xs, grid)
-                out[lo:hi] = pick(jl, lo) * wl + pick(jr, lo) * wr
+                j, frac = _cic_floor_frac(xs, grid)
+                idx = (ext_offs[lo:hi] + j).ravel()
+                out[lo:hi] = (
+                    ext[idx].reshape(j.shape) * (1.0 - frac)
+                    + ext[1:][idx].reshape(j.shape) * frac
+                )
             else:  # tsc
                 jl, jc, jr, wl, wc, wr = _tsc_indices_weights(xs, grid)
                 out[lo:hi] = (

@@ -18,6 +18,9 @@ independence lets the leapfrog pushers take an optional kernel
 ``backend`` (``repro.kernels``): a parallel backend updates contiguous
 row chunks concurrently, producing the reference bit pattern because
 each output row depends only on the matching input rows.
+
+:func:`push_positions` wraps only the particles that crossed a
+periodic boundary, not the whole array (see :func:`_wrap_escapers`).
 """
 
 from __future__ import annotations
@@ -51,6 +54,29 @@ def push_velocities(
     return v + qm * e_at_particles * dt
 
 
+def _wrap_escapers(y: np.ndarray, length: float) -> np.ndarray:
+    """Periodically wrap, in place, only the elements outside ``[0, L)``.
+
+    A step moves a particle by far less than ``L``, so only the few
+    particles that crossed a boundary need the (costly) wrap; the rest
+    are already in range.  The mask also catches ``-0.0``, the one
+    in-range value ``np.mod`` changes (to ``+0.0``), so on float64 the
+    result equals ``np.mod(y, L)`` bit for bit.  The float32 tier wraps
+    its escapers with ``y - floor(y / L) * L``, which is several times
+    cheaper than ``np.mod`` and equal to it up to single-precision
+    rounding (an escaper may land exactly on ``L``, which the grid
+    treats as node 0).
+    """
+    single = y.dtype == np.float32
+    bound = np.float32(length) if single else length
+    escaped = np.signbit(y)
+    escaped |= y >= bound
+    if escaped.any():
+        e = y[escaped]
+        y[escaped] = e - np.floor(e / bound) * bound if single else np.mod(e, length)
+    return y
+
+
 def push_positions(
     x: np.ndarray,
     v: np.ndarray,
@@ -58,34 +84,26 @@ def push_positions(
     length: float,
     backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
-    """Leapfrog position update (Eq. 1) with periodic wrapping."""
-    if x.dtype == np.float32:
-        # The float32 tier wraps via floor — ~8x cheaper than np.mod
-        # and equal to it up to single-precision rounding (a particle
-        # may land exactly on L, which the grid treats as node 0).
-        if _chunked(backend, x):
-            out = np.empty_like(x)
-            flen = np.float32(length)
+    """Leapfrog position update (Eq. 1) with periodic wrapping.
 
-            def slab(lo: int, hi: int) -> None:
-                xs = x[lo:hi] + v[lo:hi] * dt
-                xs -= np.floor(xs / flen) * flen
-                out[lo:hi] = xs
-
-            backend.run_rows(x.shape[0], slab)
-            return out
-        x = x + v * dt
-        x -= np.floor(x / np.float32(length)) * np.float32(length)
-        return x
+    Returns a new array.  Only the particles that left ``[0, L)`` are
+    wrapped (:func:`_wrap_escapers`): on float64 the result is bitwise
+    ``np.mod(x + v * dt, L)``.  On float32 an in-range particle is
+    never touched, so a position whose ``x / L`` rounds to 1.0 stays
+    just below ``L`` rather than being mapped to a tiny negative value
+    as the former all-particle floor wrap did.
+    """
     if _chunked(backend, x):
         out = np.empty_like(x)
 
         def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = np.mod(x[lo:hi] + v[lo:hi] * dt, length)
+            ys = out[lo:hi]
+            np.add(x[lo:hi], v[lo:hi] * dt, out=ys)
+            _wrap_escapers(ys, length)
 
         backend.run_rows(x.shape[0], slab)
         return out
-    return np.mod(x + v * dt, length)
+    return _wrap_escapers(x + v * dt, length)
 
 
 def rewind_velocities(

@@ -161,6 +161,17 @@ class EnsembleSimulation:
     Leapfrog time staggering matches :class:`PICSimulation`: positions
     at integer times, velocities at half times, diagnostics at integer
     times via the time-centered velocity average.
+
+    One gather per step: the end-of-step gather of ``E_{n+1}`` at
+    ``x_{n+1}`` (for the synchronized diagnostic velocities) is exactly
+    the gather the next step starts with, and the rewind gather in the
+    constructor is the first step's.  The engine keeps that gather in a
+    one-entry cache keyed on the identity of ``particles.x`` and
+    ``efield``.  Both arrays are therefore **read-only** between steps:
+    an in-place edit raises ``ValueError`` instead of silently reusing a
+    stale gather.  To change the state, assign new arrays
+    (``ens.particles.x = ...``, ``ens.efield = ...``); a new array
+    misses the cache and is gathered afresh.
     """
 
     def __init__(
@@ -221,14 +232,14 @@ class EnsembleSimulation:
                 f"expected ({self.batch}, {ref.n_cells})"
             )
         self._v_integer = self.particles.v.copy()  # v at t=0 (integer time)
+        # (x, efield, E at x): the latest gather, reused while both
+        # arrays are the same objects (see the class docstring).
+        self._gathered: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         # Rewind v to t = -dt/2 for leapfrog staggering.
-        e_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=ref.interpolation, backend=self._backend,
-        )
         self.particles.v = rewind_velocities(
-            self.particles.v, e_at_p, ref.qm, ref.dt, backend=self._backend
+            self.particles.v, self._gather(), ref.qm, ref.dt, backend=self._backend
         )
+        self._freeze_state()
 
     @classmethod
     def from_config(
@@ -270,14 +281,32 @@ class EnsembleSimulation:
             particles=self.particles, v_center=self._v_integer,
         ))
 
+    def _gather(self) -> np.ndarray:
+        """``efield`` at ``particles.x``, computed once per state.
+
+        The cache hit is an identity check: the gather is reused only
+        while both arrays are the very objects it was computed from.
+        """
+        x, efield = self.particles.x, self.efield
+        cached = self._gathered
+        if cached is not None and cached[0] is x and cached[1] is efield:
+            return cached[2]
+        e_at_p = gather(
+            self.grid, efield, x, order=self.config.interpolation, backend=self._backend
+        )
+        self._gathered = (x, efield, e_at_p)
+        return e_at_p
+
+    def _freeze_state(self) -> None:
+        """Make the gather's inputs read-only so in-place edits raise."""
+        self.particles.x.flags.writeable = False
+        self.efield.flags.writeable = False
+
     def step(self) -> None:
         """Advance every member one PIC cycle (gather -> push v -> push x -> field)."""
         cfg = self.config
         backend = self._backend
-        e_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=cfg.interpolation, backend=backend,
-        )
+        e_at_p = self._gather()
         v_new = push_velocities(self.particles.v, e_at_p, cfg.qm, cfg.dt, backend=backend)
         self.particles.v = v_new
         self.particles.x = push_positions(
@@ -290,11 +319,9 @@ class EnsembleSimulation:
         self.time += cfg.dt
         # Synchronize velocities to the new integer time t_{n+1} with a
         # half push using the freshly computed field (diagnostics only).
-        e_new_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=cfg.interpolation, backend=backend,
-        )
-        self._v_integer = v_new + 0.5 * cfg.qm * e_new_at_p * cfg.dt
+        # This gather is cached: the next step starts with it.
+        self._v_integer = v_new + 0.5 * cfg.qm * self._gather() * cfg.dt
+        self._freeze_state()
 
     def run(
         self,
@@ -341,6 +368,10 @@ class PICSimulation:
     diagnostics and the leapfrog staggering described on
     :class:`EnsembleSimulation`.  The trajectory is bitwise identical
     to the pre-ensemble single-run implementation.
+
+    ``particles.x`` and ``efield`` are read-only row views of the
+    engine's state, as on :class:`EnsembleSimulation`; assigning new
+    arrays between steps is the way to change them.
     """
 
     def __init__(
@@ -365,21 +396,27 @@ class PICSimulation:
         self.particles.x = ens.particles.x[0]
         self.particles.v = ens.particles.v[0]
         self.efield = ens.efield[0]
+        self._synced = (self.particles.x, self.efield)
         self._v_integer = ens._v_integer[0]
         self.time = ens.time
         self.step_index = ens.step_index
 
     def _push_to_ensemble(self) -> None:
-        """Adopt external edits of the 1-D views back into the ensemble.
+        """Adopt reassigned 1-D state back into the ensemble.
 
         Reshaping the (contiguous) 1-D arrays to ``(1, n)`` is a view,
-        so this costs nothing when the state was not touched.
+        so this costs nothing when the state was not touched.  Positions
+        and field are pushed only when reassigned, so an untouched state
+        keeps the engine's cached gather.
         """
         ens = self._ensemble
         dtype = ens._dtype
-        ens.particles.x = np.asarray(self.particles.x, dtype=dtype).reshape(1, -1)
+        synced_x, synced_efield = self._synced
+        if self.particles.x is not synced_x:
+            ens.particles.x = np.asarray(self.particles.x, dtype=dtype).reshape(1, -1)
         ens.particles.v = np.asarray(self.particles.v, dtype=dtype).reshape(1, -1)
-        ens.efield = np.asarray(self.efield, dtype=dtype).reshape(1, -1)
+        if self.efield is not synced_efield:
+            ens.efield = np.asarray(self.efield, dtype=dtype).reshape(1, -1)
         ens._v_integer = np.asarray(self._v_integer, dtype=dtype).reshape(1, -1)
 
     @property

@@ -36,7 +36,6 @@ thread (the exact pre-pool path, bitwise unchanged), while
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -63,6 +62,21 @@ if TYPE_CHECKING:
 STATUS_QUEUED = "queued"
 STATUS_CACHED = "cached"
 STATUS_INFLIGHT = "inflight"
+
+
+class StoreHitFuture(Future):
+    """The already-resolved future of a store hit.
+
+    Its result is the stored :class:`SimulationResult` itself, the same
+    object every hit of that key receives.  This delivery's stage
+    timings (``store_s``, ``trace_id``) ride beside it in
+    :attr:`timings`, so the shared result is never copied or restamped.
+    """
+
+    def __init__(self, result: SimulationResult, timings: "dict[str, object]") -> None:
+        super().__init__()
+        self.timings = timings
+        self.set_result(result)
 
 
 class SimulationService:
@@ -209,7 +223,9 @@ class SimulationService:
         """Like :meth:`submit`, also reporting how the request was met.
 
         Returns ``(future, status)`` with status one of ``"cached"``
-        (served from the result store without queueing), ``"inflight"``
+        (served from the result store without queueing: a
+        :class:`StoreHitFuture` resolved to the stored result object,
+        carrying this delivery's timings), ``"inflight"``
         (coalesced onto an identical request already queued or running;
         the same future object is returned) or ``"queued"`` (filed with
         the micro-batcher).
@@ -266,9 +282,7 @@ class SimulationService:
                     timings: "dict[str, object]" = {"store_s": store_s}
                     if trace:
                         timings["trace_id"] = trace.trace_id
-                    cached = dataclasses.replace(cached, timings=timings)
-                    future: "Future[SimulationResult]" = Future()
-                    future.set_result(cached)
+                    future: "Future[SimulationResult]" = StoreHitFuture(cached, timings)
                     if submit_span:
                         submit_span.set_attribute("status", STATUS_CACHED)
                     return future, STATUS_CACHED

@@ -109,10 +109,12 @@ class SimulationResult:
     an in-place edit by one caller would silently corrupt what the
     store serves to everyone else.  Work on a ``.copy()`` instead.
 
-    ``timings`` is per-delivery telemetry (stage breakdown + trace id),
-    excluded from equality and never persisted: the on-disk npz holds
-    only the physics, so a disk round trip yields ``timings=None`` and
-    each delivery stamps its own.
+    ``timings`` is the executing delivery's telemetry (stage breakdown +
+    trace id), excluded from equality and never persisted: the on-disk
+    npz holds only the physics, so a disk round trip yields
+    ``timings=None``.  A store hit delivers this object unchanged and
+    carries its own timings on the
+    :class:`~repro.service.service.StoreHitFuture`.
     """
 
     key: str

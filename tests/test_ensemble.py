@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.pic.simulation as pic_simulation
 from repro.config import SimulationConfig
+from repro.dlpic import DLEnsemble, DLFieldSolver
 from repro.engines.observables import Observables, pic_observables
+from repro.models.architectures import build_mlp
+from repro.phasespace.binning import PhaseSpaceGrid
+from repro.phasespace.normalization import MinMaxNormalizer
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
 from repro.pic.poisson import PoissonSolver
@@ -224,3 +229,100 @@ class TestPICViewStateSync:
         untouched = TraditionalPIC(config)
         untouched.step()
         assert not np.array_equal(sim_a.particles.x, untouched.particles.x)
+
+
+def _dl_solver(config: SimulationConfig) -> DLFieldSolver:
+    grid = PhaseSpaceGrid(n_x=16, n_v=8, box_length=config.box_length)
+    model = build_mlp(input_size=grid.size, output_size=config.n_cells,
+                      hidden_size=16, rng=0)
+    norm = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
+    return DLFieldSolver(model, grid, norm)
+
+
+class TestGatherCache:
+    """One gather per step, keyed on the identity of ``x`` and ``efield``."""
+
+    @pytest.fixture
+    def count_gathers(self, monkeypatch):
+        calls = []
+        real = pic_simulation.gather
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pic_simulation, "gather", counted)
+        return calls
+
+    @pytest.mark.parametrize("family", ["traditional", "dl"])
+    def test_one_gather_per_step(self, config, count_gathers, family):
+        if family == "dl":
+            ens = DLEnsemble.from_config(config, 3, _dl_solver(config))
+        else:
+            ens = EnsembleSimulation.from_config(config, 3)
+        assert len(count_gathers) == 1  # the rewind gather
+        for n in range(1, 6):
+            ens.step()
+            assert len(count_gathers) == 1 + n
+
+    def test_pic_view_gathers_once_per_step(self, config, count_gathers):
+        sim = TraditionalPIC(config)
+        sim.run(4)
+        assert len(count_gathers) == 1 + 4
+
+    @staticmethod
+    def _fresh_step(ens: EnsembleSimulation) -> None:
+        """A step that cannot reuse any earlier gather."""
+        ens._gathered = None
+        ens.step()
+
+    def test_reassigned_state_matches_fresh_computation(self, config):
+        cached = EnsembleSimulation.from_config(config, 2)
+        fresh = EnsembleSimulation.from_config(config, 2)
+        for _ in range(2):
+            cached.step()
+            self._fresh_step(fresh)
+        for ens in (cached, fresh):
+            ens.particles.x = np.mod(ens.particles.x + 0.01, config.box_length)
+        cached.step()
+        self._fresh_step(fresh)
+        for ens in (cached, fresh):
+            ens.efield = 0.5 * ens.efield
+        for _ in range(3):
+            cached.step()
+            self._fresh_step(fresh)
+        np.testing.assert_array_equal(cached.particles.x, fresh.particles.x)
+        np.testing.assert_array_equal(cached.particles.v, fresh.particles.v)
+        np.testing.assert_array_equal(cached.efield, fresh.efield)
+        np.testing.assert_array_equal(cached.v_at_integer_time, fresh.v_at_integer_time)
+
+    def test_reassigned_pic_view_reaches_the_engine(self, config):
+        view = TraditionalPIC(config)
+        engine = EnsembleSimulation((config,))
+        for sim in (view, engine):
+            sim.step()
+            sim.efield = 0.5 * sim.efield
+            sim.step()
+            sim.particles.x = np.mod(sim.particles.x + 0.01, config.box_length)
+            sim.step()
+        np.testing.assert_array_equal(view.particles.x, engine.particles.x[0])
+        np.testing.assert_array_equal(view.v_at_integer_time, engine.v_at_integer_time[0])
+
+    def test_in_place_writes_raise(self, config):
+        ens = EnsembleSimulation.from_config(config, 2)
+        for _ in range(2):  # read-only from construction on, and after steps
+            with pytest.raises(ValueError, match="read-only"):
+                ens.particles.x[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                ens.efield[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                ens.particles.x += 0.0
+            ens.step()
+
+    def test_pic_view_in_place_writes_raise(self, config):
+        sim = TraditionalPIC(config)
+        sim.step()
+        with pytest.raises(ValueError, match="read-only"):
+            sim.particles.x[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sim.efield[0] = 0.0

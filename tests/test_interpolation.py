@@ -171,3 +171,34 @@ class TestDepositProperties:
         rho = deposit(grid, x, 1.0, order=order)
         rho_shifted = deposit(grid, x + shift * grid.dx, 1.0, order=order)
         np.testing.assert_allclose(rho_shifted, np.roll(rho, shift), atol=1e-9)
+
+
+class TestGhostNodeCIC:
+    """The batched CIC gather and the float32 CIC deposit index through
+    two periodic ghost nodes instead of wrapping indices."""
+
+    @pytest.mark.parametrize("n_cells", [16, 12])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batched_gather_matches_wrapped_rows(self, n_cells, shared):
+        grid = Grid1D(n_cells, 4.0)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, grid.length, size=(3, 50))
+        x[:, :3] = [0.0, np.nextafter(grid.length, 0.0), grid.length - 1e-300]
+        field = rng.normal(size=(n_cells,) if shared else (3, n_cells))
+        batched = gather(grid, field, x, order="cic")
+        for b in range(3):
+            # The 1-D path still wraps its indices: the reference.
+            row_field = field if shared else field[b]
+            np.testing.assert_array_equal(batched[b], gather(grid, row_field, x[b], order="cic"))
+
+    @pytest.mark.parametrize("n_cells", [16, 12])
+    def test_float32_deposit_tracks_float64(self, n_cells):
+        grid = Grid1D(n_cells, 4.0)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, grid.length, size=(2, 400))
+        x[:, :4] = [0.0, grid.length, np.nextafter(grid.length, 0.0), grid.dx * (n_cells - 1)]
+        rho64 = deposit(grid, x, 1.0, order="cic")
+        rho32 = deposit(grid, x.astype(np.float32), 1.0, order="cic")
+        assert rho32.dtype == np.float32
+        np.testing.assert_allclose(rho32, rho64, rtol=1e-5, atol=1e-5 * np.abs(rho64).max())
+        np.testing.assert_allclose(rho32.sum(axis=1) * grid.dx, 400.0, rtol=1e-5)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import ThreadedBackend
+from repro.phasespace.binning import PhaseSpaceGrid, _x_bins
 from repro.pic.diagnostics import mode_amplitude, mode_spectrum
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
+from repro.pic.mover import push_positions
 from repro.pic.poisson import solve_poisson_fd, solve_poisson_spectral
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
@@ -141,3 +144,90 @@ class TestSimulationProperties:
         hist = TraditionalPIC(cfg).run(8)
         mom = np.asarray(hist["momentum"])
         assert np.max(np.abs(mom - mom[0])) < 1e-12
+
+
+def _boundary_positions(length: float):
+    """Positions in, on the edges of, and beyond the periodic box."""
+    return st.one_of(
+        st.floats(0.0, length, exclude_max=True),
+        st.sampled_from([0.0, -0.0, length, float(np.nextafter(length, 0.0)),
+                         -length, 2.0 * length]),
+        st.floats(-3.0 * length, 3.0 * length),
+    )
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw float64 bit patterns (tells -0.0 from +0.0)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _phase_space(draw, length: float):
+    """A ``(n,)`` or ``(batch, n)`` pair of positions and velocities.
+
+    Velocities include signed zeros, so the pushed positions hit the
+    special values (``-0.0``, ``L``, ``nextafter(L, 0)``) exactly.
+    """
+    shape = draw(st.sampled_from([(7,), (1, 5), (4, 6)]))
+    size = int(np.prod(shape))
+    x = draw(st.lists(_boundary_positions(length), min_size=size, max_size=size))
+    v = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0 * length, 2.0 * length)),
+        min_size=size, max_size=size,
+    ))
+    return np.array(x).reshape(shape), np.array(v).reshape(shape)
+
+
+class TestEscaperWrapProperties:
+    """``push_positions`` wraps only escapers, yet equals ``np.mod`` bitwise."""
+
+    LENGTH = 2.0 * np.pi / 0.3
+
+    @given(state=_phase_space(LENGTH), dt=st.sampled_from([0.2, 1.0, 0.05]),
+           threaded=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_mod_of_full_push(self, state, dt, threaded):
+        x, v = state
+        backend = ThreadedBackend(max_workers=3) if threaded else None
+        pushed = push_positions(x, v, dt, self.LENGTH, backend=backend)
+        expected = np.mod(x + v * dt, self.LENGTH)
+        np.testing.assert_array_equal(_bits(pushed), _bits(expected))
+        assert pushed.shape == x.shape
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_signed_zero_and_edges(self, threaded):
+        length = self.LENGTH
+        x = np.array([[0.0, -0.0, length, np.nextafter(length, 0.0), -0.0, 1.0]] * 2)
+        v = np.array([[-0.0, -0.0, 0.0, 0.0, 0.0, -0.0]] * 2)
+        backend = ThreadedBackend(max_workers=2) if threaded else None
+        pushed = push_positions(x, v, 0.2, length, backend=backend)
+        np.testing.assert_array_equal(_bits(pushed), _bits(np.mod(x + v * 0.2, length)))
+        assert not np.signbit(pushed).any()
+
+
+class TestXBinsFastPathProperties:
+    """``_x_bins`` (with or without its in-range fast path) equals the
+    defensive ``floor(mod(x, L) / dx) % n_x`` expression."""
+
+    @staticmethod
+    def _reference(x: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+        return np.floor(np.mod(x, grid.box_length) / grid.dx).astype(np.int64) % grid.n_x
+
+    @given(
+        n_x=st.sampled_from([16, 64, 24, 50]),
+        length=st.sampled_from([1.0, 2.0 * np.pi / 0.3, 7.3]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, n_x, length, data):
+        grid = PhaseSpaceGrid(n_x=n_x, n_v=8, box_length=length)
+        in_range = data.draw(st.booleans())
+        values = (
+            st.one_of(st.floats(0.0, length, exclude_max=True),
+                      st.sampled_from([0.0, -0.0, float(np.nextafter(length, 0.0))]))
+            if in_range else _boundary_positions(length)
+        )
+        x = np.array(data.draw(st.lists(values, min_size=1, max_size=40)))
+        shape = data.draw(st.sampled_from([(x.size,), (1, x.size)]))
+        x = x.reshape(shape)
+        np.testing.assert_array_equal(_x_bins(x, grid), self._reference(x, grid))

@@ -199,12 +199,10 @@ class TestSimulationService:
             executed = service.stats["executed_runs"]
             again, status = service.submit_with_status(config)
             assert status == STATUS_CACHED
-            # A cached delivery is a lightweight copy with its own
-            # per-delivery timings; the result arrays are shared.
-            served, original = again.result(timeout=0), first.result(timeout=0)
-            assert served == original
-            assert served.series["total"] is original.series["total"]
-            assert set(served.timings) == {"store_s"}
+            # A cached delivery is the stored result object itself; its
+            # per-delivery timings ride on the future beside it.
+            assert again.result(timeout=0) is first.result(timeout=0)
+            assert set(again.timings) == {"store_s"}
             assert service.stats["executed_runs"] == executed
             assert service.stats["cache_hits"] == 1
 
@@ -400,8 +398,9 @@ class TestVlasovService:
             service.flush()
             again, status_again = service.submit_with_status(vconfig)
             assert status_again == STATUS_CACHED
-            # Per-delivery copy with fresh timings; arrays are shared.
-            assert again.result(timeout=0) == first.result(timeout=0)
+            # The stored object itself, with fresh timings beside it.
+            assert again.result(timeout=0) is first.result(timeout=0)
+            assert set(again.timings) == {"store_s"}
         # disk round trip rehydrates the vlasov result bitwise
         rehydrated = ResultStore(capacity=4, directory=tmp_path).get(
             first.result(timeout=0).key
