@@ -4,8 +4,9 @@ Three measurements, one JSON: the ``threaded`` backend must reach
 >= 1.5x over the ``numpy`` reference on a batch-16 traditional ensemble
 (enforced with >= 4 usable cores — numpy releases the GIL in the hot
 ufuncs, so row chunks genuinely overlap), the Vlasov float32 tier must
-reach >= 1.3x over float64 (pure bandwidth/FFT win, no parallel
-hardware needed, enforced everywhere), and the ``numba`` JIT
+reach >= 1.3x over float64 in the median of interleaved warm pairs
+(pure bandwidth/FFT win, no parallel hardware needed, enforced
+everywhere), and the ``numba`` JIT
 deposit/gather leg is timed when the dependency is present (skipped
 gracefully elsewhere — the backend degrades to the reference slab).
 
@@ -23,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import paired_times, ratio_quartiles
 
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
@@ -50,6 +52,7 @@ VLASOV = SimulationConfig(
     vth=0.25, v0=1.0, seed=1, extra={"n_v": 256, "v_min": -6.0, "v_max": 6.0},
 )
 VLASOV_BATCH = 8
+VLASOV_PAIRS = 15
 
 
 def _usable_cores() -> int:
@@ -182,9 +185,20 @@ def test_threaded_row_parallel_speedup(results_dir):
 
 
 def test_vlasov_float32_speedup(results_dir):
-    f64_s, reference = _run_family("vlasov", "numpy", dtype="float64")
-    f32_s, candidate = _run_family("vlasov", "numpy", dtype="float32")
-    speedup = f64_s / f32_s if f32_s > 0 else float("inf")
+    # One warm-up run per tier, then interleaved pairs: a single
+    # un-warmed ~0.2 s run per tier measured below its own noise.
+    _, reference = _run_family("vlasov", "numpy", dtype="float64")
+    _, candidate = _run_family("vlasov", "numpy", dtype="float32")
+    f64_times, f32_times = paired_times(
+        lambda: _run_family("vlasov", "numpy", dtype="float64"),
+        lambda: _run_family("vlasov", "numpy", dtype="float32"),
+        pairs=VLASOV_PAIRS,
+    )
+    quartiles = {
+        name: 1.0 + value
+        for name, value in ratio_quartiles(f64_times, f32_times).items()
+    }
+    speedup = quartiles["median"]
     # The tier is dtype-preserving end to end and must stay within a
     # single-precision band of the double trajectory.
     assert candidate["f"].dtype == np.float32
@@ -195,6 +209,7 @@ def test_vlasov_float32_speedup(results_dir):
     scale = max(1.0, float(np.max(np.abs(reference["efield"]))))
     assert np.all(np.isfinite(candidate["f"]))
     assert field_err <= 1e-4 * scale
+    f64_s, f32_s = float(np.median(f64_times)), float(np.median(f32_times))
     _merge_result(
         results_dir,
         "vlasov_float32",
@@ -202,16 +217,21 @@ def test_vlasov_float32_speedup(results_dir):
             "batch": VLASOV_BATCH,
             "grid": [int(VLASOV.extra["n_v"]), VLASOV.n_cells],
             "n_steps": VLASOV.n_steps,
+            "pairs": VLASOV_PAIRS,
             "float64_s": f64_s,
             "float32_s": f32_s,
             "speedup": speedup,
+            "speedup_quartiles": quartiles,
             "max_field_error": field_err,
-            "gate": ">=1.3x over float64 (enforced everywhere)",
+            "gate": ">=1.3x over float64, median of interleaved pairs "
+                    "(enforced everywhere)",
         },
     )
     assert speedup >= 1.3, (
-        f"expected the Vlasov float32 tier >= 1.3x over float64, got "
-        f"{speedup:.2f}x (float64 {f64_s:.2f}s, float32 {f32_s:.2f}s)"
+        f"expected the Vlasov float32 tier >= 1.3x over float64, got a median "
+        f"{speedup:.2f}x over {VLASOV_PAIRS} pairs (quartiles "
+        f"{quartiles['q1']:.2f}-{quartiles['q3']:.2f}x; median float64 "
+        f"{f64_s:.3f}s, float32 {f32_s:.3f}s)"
     )
 
 

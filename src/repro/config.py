@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -74,6 +76,35 @@ def _json_ready(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     return value
+
+
+# Numeric fields by kind: int fields take integers (numpy integers and
+# integral floats are stored as ``int``), float fields take any finite
+# real number; bools are rejected in both.
+_INT_FIELDS = ("n_cells", "particles_per_cell", "n_steps", "perturbation_mode", "seed")
+_FLOAT_FIELDS = ("box_length", "dt", "v0", "vth", "qm", "perturbation")
+
+
+def _strict_int(name: str, value: Any) -> int:
+    """``value`` as an ``int``; bools and non-integral numbers raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral) or (
+            math.isfinite(value) and float(value).is_integer()
+        ):
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(name: str, value: Any) -> None:
+    """Reject bools, non-numbers and non-finite values of a float field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an int beyond float range
+            pass
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +223,10 @@ class SimulationConfig:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _strict_int(name, getattr(self, name)))
+        for name in _FLOAT_FIELDS:
+            _check_finite(name, getattr(self, name))
         if self.box_length <= 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         if self.n_cells < 2:

@@ -187,6 +187,13 @@ class EngineSpec:
     else at submit time with a message derived from the registry, so
     the error always names which families *do* support the requested
     tier (and never goes stale as tiers expand).
+
+    ``row_shards`` lets the executor split a large group into row
+    shards, each run start to finish by its own engine on its own
+    thread (see :mod:`repro.service.executor`).  Only set it for a
+    family whose batch rows are bitwise-identical to solo runs and
+    whose engines share no mutable state (the DL family's shared
+    ``DLFieldSolver`` does).
     """
 
     name: str
@@ -196,6 +203,7 @@ class EngineSpec:
     kind: str = "pic"
     dtypes: "tuple[str, ...]" = ("float64",)
     backends: "tuple[str, ...]" = ("numpy",)
+    row_shards: bool = False
 
 
 _ENGINES: "dict[str, EngineSpec]" = {}
@@ -425,6 +433,7 @@ register_engine(EngineSpec(
     validate=_pic_validate,
     dtypes=("float64", "float32"),
     backends=("numpy", "threaded", "numba"),
+    row_shards=True,
 ))
 register_engine(EngineSpec(
     name="dl",

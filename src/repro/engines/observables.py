@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
@@ -825,3 +826,94 @@ class Observables:
             return float(mom[-1] - mom[0])
         return mom[-1] - mom[0]
 
+
+# ----------------------------------------------------------------------
+# Row shards: one group's buffers, filled by several engines at once
+
+
+class GroupRecording:
+    """The record buffers of one group, shared by its row shards.
+
+    A group split into row shards (see :mod:`repro.service.executor`)
+    runs one engine per contiguous row range.  Each engine records
+    through :meth:`shard`, which writes straight into its own rows of
+    these ``(n_records, batch, ...)`` buffers: the group's series exist
+    once and are never concatenated.  Batch-independent series —
+    ``time`` and the ``shared`` names (e.g. the traced ``step_s``) —
+    are written whole by the one shard that owns them.  Buffers are
+    allocated by the first shard to measure a series, which is the only
+    moment shards synchronize.
+    """
+
+    def __init__(
+        self,
+        names: "Sequence[str]",
+        n_records: int,
+        batch: int,
+        shared: "Sequence[str]" = (),
+    ) -> None:
+        self.names = tuple(names)
+        self.n_records = int(n_records)
+        self.batch = int(batch)
+        self.shared = frozenset(shared)
+        self.time = np.empty(self.n_records, dtype=np.float64)
+        self._buffers: "dict[str, np.ndarray]" = {}
+        self._lock = threading.Lock()
+
+    def shard(
+        self, observables: "Sequence[Observable]", rows: slice, owner: bool = False
+    ) -> "Observables":
+        """A recorder for the engine running ``rows`` of the group.
+
+        Exactly one shard is the ``owner``: it writes ``time`` and the
+        shared series, and only its pipeline may measure those.
+        """
+        return _RowShardObservables(observables, self, rows, owner)
+
+    def _rows_of(self, name: str, values: np.ndarray, rows: slice) -> np.ndarray:
+        """The buffer of ``name`` (allocated on first use), cut to ``rows``."""
+        whole = name in self.shared
+        with self._lock:
+            buf = self._buffers.get(name)
+            if buf is None:
+                shape = values.shape if whole else (self.batch,) + values.shape[1:]
+                buf = np.empty((self.n_records,) + shape, dtype=values.dtype)
+                self._buffers[name] = buf
+        return buf if whole else buf[:, rows]
+
+    def as_arrays(self) -> "dict[str, np.ndarray]":
+        """Every series keyed by name, laid out like :meth:`Observables.as_arrays`."""
+        out = {"time": self.time}
+        for name in self.names:
+            out[name] = self._buffers[name]
+        return out
+
+
+class _RowShardObservables(Observables):
+    """Records one row shard into its rows of a :class:`GroupRecording`."""
+
+    def __init__(
+        self,
+        observables: "Sequence[Observable]",
+        group: GroupRecording,
+        rows: slice,
+        owner: bool,
+    ) -> None:
+        super().__init__(observables, expected_records=group.n_records)
+        self._group = group
+        self._rows = rows
+        self._owner = owner
+
+    def _allocate(self, measured: "dict[str, np.ndarray]", batch: int) -> None:
+        group = self._group
+        self.batch = batch
+        self._capacity = group.n_records
+        self._time = group.time if self._owner else np.empty(group.n_records)
+        for name, values in measured.items():
+            self._buffers[name] = group._rows_of(name, values, self._rows)
+        self._rebuild_write_plan()
+
+    def _grow(self, capacity: int) -> None:
+        raise ValueError(
+            f"a row shard records exactly {self._group.n_records} frames"
+        )

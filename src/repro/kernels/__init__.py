@@ -44,6 +44,7 @@ from repro.kernels.backends import (
     backend_unavailable_reason,
     get_backend,
     resolve_backend,
+    usable_cores,
 )
 
 __all__ = [
@@ -56,4 +57,5 @@ __all__ = [
     "backend_unavailable_reason",
     "get_backend",
     "resolve_backend",
+    "usable_cores",
 ]

@@ -33,6 +33,7 @@ __all__ = [
     "backend_unavailable_reason",
     "get_backend",
     "resolve_backend",
+    "usable_cores",
 ]
 
 #: Every selectable ``SimulationConfig.backend`` value, in registry
@@ -41,7 +42,7 @@ __all__ = [
 KERNEL_BACKEND_NAMES = ("numpy", "threaded", "numba")
 
 
-def _usable_cores() -> int:
+def usable_cores() -> int:
     """CPU cores this process may run on (affinity-aware)."""
     try:
         return len(os.sched_getaffinity(0))
@@ -102,7 +103,7 @@ class ThreadedBackend(KernelBackend):
     parallel = True
 
     def __init__(self, max_workers: "int | None" = None) -> None:
-        self.workers = int(max_workers) if max_workers else _usable_cores()
+        self.workers = int(max_workers) if max_workers else usable_cores()
         if self.workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
 
@@ -210,7 +211,7 @@ def backend_available(name: str) -> bool:
 
         return numba_kernels.NUMBA_AVAILABLE
     if name == "threaded":
-        return _usable_cores() > 1
+        return usable_cores() > 1
     return name in _BACKENDS
 
 

@@ -12,10 +12,17 @@ directory) — and gets back a future resolving to a
 Two executors ship:
 
 :class:`InlineExecutor`
-    Runs the group synchronously on the calling thread — the exact
-    pre-pool execution path, bitwise unchanged, and the default
-    (``workers=1``).  Uses the service's in-memory ``DLFieldSolver``
-    directly.
+    Runs the group synchronously on the submitting thread, and the
+    default (``workers=1``).  Uses the service's in-memory
+    ``DLFieldSolver`` directly.  It is not single-threaded for large
+    groups: a ``traditional`` group of at least two rows and
+    ``2 * MIN_SHARD_PARTICLES`` particles runs as per-core **row
+    shards**, one engine per contiguous row range, the submitting
+    thread running the first and a process-wide thread pool the rest
+    (see :func:`run_group_task`).  Every row of a batched engine is
+    bitwise-identical to its solo run (the solo-vs-batch oracles pin
+    this), so a split group yields exactly the whole group's bits
+    without any per-step synchronisation.
 
 :class:`ShardedExecutor`
     Dispatches whole groups to ``N`` **spawned** worker processes
@@ -23,9 +30,11 @@ Two executors ship:
     worker process lazily rebuilds (and caches) its own engine
     infrastructure — including a per-process ``DLFieldSolver``
     rehydrated from ``model_dir`` — so nothing unpicklable ever
-    crosses the process boundary.  Results travel back as raw float64
-    arrays; pickling preserves float bits exactly, so a sharded result
-    is bitwise identical to an inline one.  A crashed worker
+    crosses the process boundary.  A worker splits large groups into
+    row shards over its even share of the cores (``usable_cores //
+    workers``, at least 1).  Results travel back as raw float64 arrays;
+    pickling preserves float bits exactly, so a sharded result is
+    bitwise identical to an inline one.  A crashed worker
     (``BrokenProcessPool``) or an expired ``group_timeout`` resolves
     the affected group's future with the error — the service turns
     that into error-status results for every requester — while the
@@ -43,17 +52,23 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor, wait
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import make_engine, validate_engine_config
-from repro.engines.observables import Observables, StepTimer, resolve_observables
+from repro.engines.base import EngineSpec, make_engine, validate_engine_config
+from repro.engines.observables import (
+    GroupRecording,
+    Observables,
+    StepTimer,
+    resolve_observables,
+)
+from repro.kernels import usable_cores
 from repro.obs.trace import new_span_id
 
 
@@ -170,6 +185,79 @@ def _dl_solver_for(model_dir: "str | None") -> object:
     return solver
 
 
+#: Smallest row shard worth its own thread, in particles.  A split
+#: traditional group runs ``total_particles // MIN_SHARD_PARTICLES``
+#: shards at most, so small groups — the service's typical 800-particle
+#: requests — stay whole: below the crossover, the extra engine's fixed
+#: per-step cost outweighs the second core.  Measured on a 2-core box
+#: (median of 5 interleaved pairs, 100 steps, 64 cells), one group run
+#: whole vs as 2 shards:
+#:
+#: ===================  ==============  ==============
+#: particles per shard  batch 2         batch 8
+#: ===================  ==============  ==============
+#:     6,400            0.86x           0.88x
+#:    12,800            1.20x           1.21x
+#:    25,600            1.16x           1.19x
+#:    51,200            1.70x
+#:   102,400            1.93x           2.49x
+#: ===================  ==============  ==============
+#:
+#: The floor sits above the 6,400-particle loss with some margin.
+MIN_SHARD_PARTICLES = 16_384
+
+# Cores one group may spread over: ``None`` means every usable core
+# (inline execution); a ShardedExecutor worker takes an even share.
+_CORE_BUDGET: "int | None" = None
+
+# Process-wide pool running every row shard but the calling thread's.
+_SHARD_POOL: "ThreadPoolExecutor | None" = None
+_SHARD_POOL_LOCK = threading.Lock()
+
+
+def shard_cores() -> int:
+    """Cores one group may use in this process."""
+    return _CORE_BUDGET if _CORE_BUDGET is not None else usable_cores()
+
+
+def _init_pool_worker(workers: int) -> None:
+    """ShardedExecutor worker initializer: take an even share of the cores."""
+    global _CORE_BUDGET
+    _CORE_BUDGET = max(1, usable_cores() // workers)
+
+
+def row_shard_count(spec: EngineSpec, configs: "Sequence[SimulationConfig]") -> int:
+    """How many row shards a group of ``configs`` runs as (1 = whole)."""
+    if not spec.row_shards:
+        return 1
+    particles = sum(cfg.n_particles for cfg in configs)
+    return max(1, min(len(configs), shard_cores(), particles // MIN_SHARD_PARTICLES))
+
+
+def _shard_pool() -> ThreadPoolExecutor:
+    global _SHARD_POOL
+    with _SHARD_POOL_LOCK:
+        if _SHARD_POOL is None:
+            _SHARD_POOL = ThreadPoolExecutor(
+                max_workers=max(1, shard_cores() - 1),
+                thread_name_prefix="repro-row-shards",
+            )
+        return _SHARD_POOL
+
+
+def _run_row_shard(
+    configs: "tuple[SimulationConfig, ...]",
+    n_steps: int,
+    history: Observables,
+    dl_solver: "object | None",
+) -> "tuple[object, float]":
+    """Build and run one shard's engine; returns it and its build end time."""
+    sim = make_engine(configs, dl_solver=dl_solver)
+    built = time.perf_counter()
+    sim.run(n_steps, history=history)
+    return sim, built
+
+
 def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupOutcome:
     """Execute one group through its registered engine.
 
@@ -179,41 +267,71 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
     flagged member's final phase-space state.  ``dl_solver`` is the
     in-process solver (inline path); without one, ``solver="dl"``
     tasks rehydrate a per-process solver from ``task.model_dir``.
+
+    A large group of a ``row_shards`` family runs as
+    :func:`row_shard_count` contiguous row shards, each on its own
+    engine: the calling thread runs the first, the process-wide shard
+    pool the rest, and every shard records into its own rows of one
+    :class:`~repro.engines.observables.GroupRecording`.  Each row of a
+    batched engine is bitwise-identical to its solo run, so the split
+    changes no bit of the outcome.
     """
     global _RUNS_EXECUTED
     started = time.perf_counter()
     configs = tuple(SimulationConfig.from_dict(dict(d)) for d in task.configs)
     spec = validate_engine_config(configs[0])
-    observables = resolve_observables(task.observables, spec.kind)
+    n_shards = row_shard_count(spec, configs)
+    pipelines = [
+        resolve_observables(task.observables, spec.kind) for _ in range(n_shards)
+    ]
     if task.traced:
         # StepTimer goes LAST so its inter-record interval covers one
         # full engine step including every other observable's cost.
-        observables = list(observables) + [StepTimer()]
-    pipeline = Observables(observables)
+        pipelines[0].append(StepTimer())
+    recording = GroupRecording(
+        [name for obs in pipelines[0] for name in obs.names],
+        n_records=task.n_steps + 1,
+        batch=len(configs),
+        shared=StepTimer.names if task.traced else (),
+    )
     if task.solver == "dl" and dl_solver is None:
         dl_solver = _dl_solver_for(task.model_dir)
-    sim = make_engine(configs, dl_solver=dl_solver)
-    t_built = time.perf_counter()
-    history = sim.run(task.n_steps, history=pipeline)
+    bounds = [
+        (k * len(configs) // n_shards, (k + 1) * len(configs) // n_shards)
+        for k in range(n_shards)
+    ]
+    shard_args = [
+        (configs[lo:hi], task.n_steps,
+         recording.shard(pipeline, slice(lo, hi), owner=k == 0), dl_solver)
+        for k, ((lo, hi), pipeline) in enumerate(zip(bounds, pipelines))
+    ]
+    futures = [_shard_pool().submit(_run_row_shard, *args) for args in shard_args[1:]]
+    try:
+        first = _run_row_shard(*shard_args[0])
+    finally:
+        wait(futures)
+    shards = [first] + [future.result() for future in futures]
+    t_built = first[1]
     t_run_done = time.perf_counter()
-    series = history.as_arrays()
+    series = recording.as_arrays()
     # Popping the timing series (not slicing around it) keeps every
     # result series object identical to the untraced pipeline's output.
     step_s = series.pop("step_s", None) if task.traced else None
-    particles = getattr(sim, "particles", None)
-    v_integer = getattr(sim, "v_at_integer_time", None)
-    distribution = getattr(sim, "f", None)
     final_x: "list[np.ndarray | None]" = [None] * len(configs)
     final_v: "list[np.ndarray | None]" = [None] * len(configs)
     final_f: "list[np.ndarray | None]" = [None] * len(configs)
-    for b, wanted in enumerate(task.phase_space):
-        if not wanted:
-            continue
-        if particles is not None:
-            final_x[b] = particles.x[b].copy()
-            final_v[b] = v_integer[b].copy()
-        elif distribution is not None:
-            final_f[b] = distribution[b].copy()
+    for (lo, hi), (sim, _) in zip(bounds, shards):
+        particles = getattr(sim, "particles", None)
+        v_integer = getattr(sim, "v_at_integer_time", None)
+        distribution = getattr(sim, "f", None)
+        for b in range(lo, hi):
+            if not task.phase_space[b]:
+                continue
+            if particles is not None:
+                final_x[b] = particles.x[b - lo].copy()
+                final_v[b] = v_integer[b - lo].copy()
+            elif distribution is not None:
+                final_f[b] = distribution[b - lo].copy()
     _RUNS_EXECUTED += len(configs)
     done = time.perf_counter()
     spans: "tuple[dict, ...]" = ()
@@ -222,10 +340,11 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
             started, t_built, t_run_done, done, step_s,
             n_steps=task.n_steps, batch=len(configs),
             dtype=configs[0].dtype, backend=configs[0].backend,
+            row_shards=n_shards,
         )
     return GroupOutcome(
         series=series,
-        efield=np.asarray(sim.efield),
+        efield=np.concatenate([np.asarray(sim.efield) for sim, _ in shards]),
         final_x=tuple(final_x),
         final_v=tuple(final_v),
         final_f=tuple(final_f),
@@ -245,6 +364,7 @@ def _worker_spans(
     batch: int,
     dtype: str = "float64",
     backend: str = "numpy",
+    row_shards: int = 1,
 ) -> "tuple[dict, ...]":
     """Worker-side spans in wire format, ``start_s`` relative to ``t0``.
 
@@ -266,6 +386,7 @@ def _worker_spans(
                 "batch": int(batch),
                 "dtype": dtype,
                 "backend": backend,
+                "row_shards": int(row_shards),
             },
         },
         {
@@ -328,9 +449,10 @@ def _pool_ping(hold_s: float = 0.0) -> int:
 class InlineExecutor:
     """Runs each group synchronously on the submitting thread.
 
-    The default executor (``workers=1``): behavior, ordering and bits
-    are exactly the pre-pool in-thread execution path.  The returned
-    future is already resolved when ``submit`` returns.
+    The default executor (``workers=1``): ordering and bits are exactly
+    the pre-pool in-thread execution path; large traditional groups
+    additionally spread over every usable core as row shards.  The
+    returned future is already resolved when ``submit`` returns.
     """
 
     workers = 1
@@ -444,7 +566,10 @@ class ShardedExecutor:
                 raise RuntimeError("executor is closed")
             if self._pool is None:
                 self._pool = _ProcessPool(
-                    max_workers=self.workers, mp_context=self._ctx
+                    max_workers=self.workers,
+                    mp_context=self._ctx,
+                    initializer=_init_pool_worker,
+                    initargs=(self.workers,),
                 )
             return self._pool
 

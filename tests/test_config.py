@@ -1,8 +1,12 @@
 """SimulationConfig validation and derived quantities."""
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants
 from repro.config import (
@@ -176,10 +180,98 @@ class TestSerialization:
         assert cfg.cache_key() != cfg.with_updates(seed=1).cache_key()
         assert cfg.cache_key() != cfg.with_updates(n_steps=7).cache_key()
 
+    def test_cache_keys_of_valid_configs_are_pinned(self):
+        # Keys computed before numeric fields were validated strictly:
+        # every config that was valid then keeps its store slot.
+        assert SimulationConfig().cache_key() == (
+            "787c18e23d58648c51576289ed671284c72b4ebc359a9a2d51ce668180c77b88"
+        )
+        mixed = "914974b60edca5ef6136730fa322f40e9489309905ebef0d6cd47c468d0c37f4"
+        assert SimulationConfig(
+            dt=1, v0=0, n_cells=32.0, seed=5, extra={"n_v": 64}
+        ).cache_key() == mixed
+        assert SimulationConfig(
+            n_cells=32, seed=5, dt=1.0, v0=0.0, extra={"n_v": 64}
+        ).cache_key() == mixed
+        assert SimulationConfig(
+            solver="vlasov", dtype="float32", vth=0.1,
+            perturbation=0.01, perturbation_mode=2,
+        ).cache_key() == (
+            "d0d67125dac285d8968a7c8b7323665e07693c14a9709d89843b2dda74deaa62"
+        )
+
     def test_cache_key_rejects_unserializable_extra(self):
         cfg = SimulationConfig(extra={"obj": object()})
         with pytest.raises(ValueError, match="JSON"):
             cfg.cache_key()
+
+
+INT_FIELDS = ("n_cells", "particles_per_cell", "n_steps", "perturbation_mode", "seed")
+FLOAT_FIELDS = ("box_length", "dt", "v0", "vth", "qm", "perturbation")
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": float("nan")},
+            {"dt": float("inf")},
+            {"v0": float("-inf")},
+            {"vth": float("nan")},
+            {"box_length": 10**400},
+            {"seed": True},
+            {"n_steps": False},
+            {"n_cells": 64.5},
+            {"seed": float("nan")},
+            {"particles_per_cell": "10"},
+            {"dt": True},
+            {"qm": None},
+            {"v0": np.bool_(True)},
+        ],
+    )
+    def test_rejected_with_value_error(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SimulationConfig(**kwargs)
+
+    def test_numpy_integers_and_integral_floats_stored_as_int(self):
+        cfg = SimulationConfig(n_cells=np.int64(32), seed=np.int32(5), n_steps=7.0)
+        assert (cfg.n_cells, cfg.seed, cfg.n_steps) == (32, 5, 7)
+        assert all(type(getattr(cfg, n)) is int for n in INT_FIELDS)
+        assert cfg == SimulationConfig(n_cells=32, seed=5, n_steps=7)
+        assert cfg.cache_key() == SimulationConfig(n_cells=32, seed=5, n_steps=7).cache_key()
+
+    def test_ints_accepted_in_float_fields(self):
+        cfg = SimulationConfig(dt=1, v0=0, box_length=np.float64(2.0))
+        assert cfg.dt == 1 and cfg.v0 == 0 and cfg.box_length == 2.0
+
+    _ANY_VALUE = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**6), 10**6),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=4),
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in fields(SimulationConfig)]),
+        _ANY_VALUE,
+        max_size=5,
+    ))
+    def test_from_dict_builds_a_valid_config_or_raises_value_error(self, data):
+        try:
+            cfg = SimulationConfig.from_dict(data)
+        except ValueError:
+            return
+        for name in INT_FIELDS:
+            assert type(getattr(cfg, name)) is int, name
+        for name in FLOAT_FIELDS:
+            value = getattr(cfg, name)
+            assert not isinstance(value, bool) and math.isfinite(value), name
+        assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
+        assert len(cfg.cache_key()) == 64
 
 
 class TestPaperConfigs:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro.service.executor as executor_module
 from repro.config import SimulationConfig
 from repro.engines.base import make_engine
+from repro.engines.observables import Observables, resolve_observables
+from repro.kernels import usable_cores
 from repro.service import (
     GroupTask,
     GroupTimeoutError,
@@ -31,6 +36,38 @@ def _task(*configs: SimulationConfig, phase_space: bool = False) -> GroupTask:
         observables=None,
         phase_space=tuple(phase_space for _ in configs),
     )
+
+
+def _run_with(monkeypatch, task, cores, floor=1, **kwargs):
+    """Run ``task`` with a pinned core budget and particle floor.
+
+    Returns the outcome and how many engines were built for it.
+    """
+    built = []
+
+    def counting_make_engine(configs, **kw):
+        built.append(len(configs))
+        return make_engine(configs, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(executor_module, "_CORE_BUDGET", cores)
+        patch.setattr(executor_module, "MIN_SHARD_PARTICLES", floor)
+        patch.setattr(executor_module, "make_engine", counting_make_engine)
+        outcome = run_group_task(task, **kwargs)
+    return outcome, built
+
+
+def _assert_outcomes_bitwise_equal(a, b) -> None:
+    assert list(a.series) == list(b.series)
+    for name in a.series:
+        assert a.series[name].dtype == b.series[name].dtype, name
+        assert np.array_equal(a.series[name], b.series[name]), name
+    assert np.array_equal(a.efield, b.efield)
+    for attr in ("final_x", "final_v", "final_f"):
+        for va, vb in zip(getattr(a, attr), getattr(b, attr)):
+            assert (va is None) == (vb is None)
+            if va is not None:
+                assert np.array_equal(va, vb)
 
 
 def _slow_config() -> SimulationConfig:
@@ -97,6 +134,127 @@ class TestInlineExecutor:
         with pytest.raises(ValueError, match="model_dir"):
             future.result()
         assert executor.stats()["errors"] == 1
+
+
+class TestRowShards:
+    """A split traditional group is bitwise the whole group."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("batch", [2, 3, 5, 8])
+    @pytest.mark.parametrize(
+        "observables",
+        [
+            None,
+            (("fields", ()), ("training_pairs", (("n_v", 16), ("n_x", 32)))),
+        ],
+        ids=["default", "training_pairs+fields"],
+    )
+    def test_split_group_bitwise_equals_whole(
+        self, monkeypatch, tiny_config, dtype, batch, observables
+    ):
+        configs = [
+            tiny_config.with_updates(dtype=dtype, seed=40 + b) for b in range(batch)
+        ]
+        task = GroupTask(
+            configs=tuple(cfg.to_dict() for cfg in configs),
+            solver="traditional",
+            n_steps=tiny_config.n_steps,
+            observables=observables,
+            phase_space=tuple(b % 2 == 1 for b in range(batch)),
+        )
+        whole, whole_built = _run_with(monkeypatch, task, cores=1)
+        split, split_built = _run_with(monkeypatch, task, cores=3)
+        assert whole_built == [batch]
+        # Uneven splits: batch 5 runs as 1 + 2 + 2 rows, batch 8 as 2 + 3 + 3.
+        shards = min(batch, 3)
+        assert split_built == [
+            (k + 1) * batch // shards - k * batch // shards for k in range(shards)
+        ]
+        _assert_outcomes_bitwise_equal(whole, split)
+        assert split.efield.shape == (batch, tiny_config.n_cells)
+        # ... and the whole group is the plain batched engine run.
+        reference = make_engine(configs).run(
+            tiny_config.n_steps,
+            history=Observables(resolve_observables(observables)),
+        ).as_arrays()
+        assert list(reference) == list(split.series)
+        for name, values in reference.items():
+            assert np.array_equal(split.series[name], values), name
+
+    def test_many_shards_under_fast_thread_switching(self, monkeypatch, tiny_config):
+        # More shard threads than cores, switching every microsecond: a
+        # lost race in the shared buffer allocation would drop rows.
+        configs = [tiny_config.with_updates(seed=80 + b) for b in range(8)]
+        task = _task(*configs, phase_space=True)
+        whole, _ = _run_with(monkeypatch, task, cores=1)
+        monkeypatch.setattr(executor_module, "_SHARD_POOL", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                split, built = _run_with(monkeypatch, task, cores=8)
+                assert built == [1] * 8
+                _assert_outcomes_bitwise_equal(whole, split)
+        finally:
+            sys.setswitchinterval(interval)
+            executor_module._SHARD_POOL.shutdown(wait=True)
+
+    def test_traced_task_splits_and_matches(self, monkeypatch, tiny_config):
+        configs = [tiny_config.with_updates(seed=60 + b) for b in range(4)]
+        plain = _task(*configs, phase_space=True)
+        traced = dataclasses.replace(plain, traced=True)
+        whole, _ = _run_with(monkeypatch, plain, cores=1)
+        split, built = _run_with(monkeypatch, traced, cores=2)
+        assert built == [2, 2]  # tracing does not change the execution mode
+        _assert_outcomes_bitwise_equal(whole, split)
+        [root] = [s for s in split.spans if s["name"] == "executor.worker_run"]
+        assert root["attributes"]["row_shards"] == 2
+        [steps] = [s for s in split.spans if s["name"] == "engine.steps"]
+        assert steps["attributes"]["n_steps"] == tiny_config.n_steps
+        assert steps["duration_s"] > 0
+
+    def test_small_groups_build_one_engine(self, monkeypatch, tiny_config):
+        configs = [tiny_config.with_updates(seed=b) for b in range(8)]
+        assert sum(c.n_particles for c in configs) < (
+            2 * executor_module.MIN_SHARD_PARTICLES
+        )
+        _, built = _run_with(
+            monkeypatch, _task(*configs), cores=8,
+            floor=executor_module.MIN_SHARD_PARTICLES,
+        )
+        assert built == [8]
+
+    def test_dl_and_mpi_groups_stay_whole(
+        self, monkeypatch, tiny_trained_solver, tiny_solver_config
+    ):
+        dl = [tiny_solver_config.with_updates(solver="dl", n_steps=4, seed=b)
+              for b in range(4)]
+        _, built = _run_with(
+            monkeypatch, _task(*dl), cores=8, dl_solver=tiny_trained_solver
+        )
+        assert built == [4]
+        mpi = [tiny_solver_config.with_updates(
+            solver="mpi", n_steps=4, seed=b, extra={"n_ranks": 2})
+            for b in range(3)]
+        _, built = _run_with(monkeypatch, _task(*mpi), cores=8)
+        assert built == [3]
+
+    def test_a_shard_error_propagates(self, monkeypatch, tiny_config):
+        configs = [tiny_config.with_updates(seed=b) for b in range(2)]
+        task = dataclasses.replace(_task(*configs), n_steps=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _run_with(monkeypatch, task, cores=2)
+
+    def test_sharded_worker_takes_an_even_share_of_the_cores(self):
+        with ShardedExecutor(2) as executor:
+            executor.warm()
+            pool = executor._ensure_pool()
+            budgets = {
+                pool.submit(executor_module.shard_cores).result(timeout=60)
+                for _ in range(4)
+            }
+        assert budgets == {max(1, usable_cores() // 2)}
+        assert executor_module.shard_cores() == usable_cores()
 
 
 class TestShardedExecutor:

@@ -94,6 +94,22 @@ class TestProtocol:
         assert payload["status"] == "error"
         assert "n_particles" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dt", float("nan")), ("seed", True), ("n_cells", 64.5)],
+        ids=["dt-nan", "seed-bool", "n_cells-fractional"],
+    )
+    def test_config_input_holes_400_error_result(self, server, field, value):
+        # json.dumps writes NaN as the bare token Python's parser accepts.
+        body = json.dumps({"api_version": "v1", "id": f"hole-{field}",
+                           "config": {**small_config().to_dict(), field: value}})
+        status, data = raw_request(server, "POST", "/v1/run", body.encode())
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert payload["id"] == f"hole-{field}"
+        assert field in payload["error"]
+
     def test_malformed_request_line_400(self, server):
         with socket.create_connection((server.host, server.port), timeout=30) as s:
             s.sendall(b"BOGUS\r\n\r\n")
