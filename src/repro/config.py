@@ -180,17 +180,11 @@ class SimulationConfig:
         and of every cache/store key, so float32 results can never be
         served for a float64 request or vice versa.
     backend:
-        Kernel backend executing the hot numerical paths
-        (``repro.kernels``): ``"numpy"`` (the default; the reference
-        vectorized kernels, the bitwise parity oracle), ``"threaded"``
-        (independent batch rows of each kernel call chunked across a
-        shared thread pool — bitwise identical to ``"numpy"`` in every
-        dtype tier) or ``"numba"`` (JIT-compiled scatter/gather behind
-        the optional ``numba`` dependency, falling back to the
-        reference kernels when it is absent).  Like ``dtype`` this is a
-        *structural* field — part of the engine compatibility key and
-        of every cache/store key — and family support is declared in
-        the engine registry (``EngineSpec.backends``).
+        Kernel implementation; ``"numpy"`` (the vectorized float64/float32
+        kernels every bitwise oracle is defined by) is the only legal
+        value, anything else raises ``ValueError``.  The field stays so
+        that :meth:`cache_key`, which hashes :meth:`to_dict`, keeps
+        addressing results stored under the keys of earlier releases.
     extra:
         Free-form scenario parameters (e.g. ``bump_fraction`` for
         ``bump_on_tail``).  Must be a JSON-style dict; it participates
@@ -255,12 +249,9 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected 'float32' or 'float64'"
             )
-        # Mirrors repro.kernels.KERNEL_BACKEND_NAMES (kept literal so the
-        # config module stays a leaf; a unit test pins the two together).
-        if self.backend not in ("numpy", "threaded", "numba"):
+        if self.backend != "numpy":
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'numpy', "
-                f"'threaded' or 'numba'"
+                f"backend must be 'numpy' (the only kernel backend), got {self.backend!r}"
             )
         if not isinstance(self.extra, dict):
             raise ValueError(f"extra must be a dict, got {type(self.extra).__name__}")

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
-from repro.kernels import resolve_backend
 from repro.pic.simulation import EnsembleSimulation, PICSimulation
 
 
@@ -60,9 +59,6 @@ class DLEnsemble(EnsembleSimulation):
         configs = tuple(configs)
         if configs:
             _check_box_length(field_solver, configs[0])
-            # Thread the ensemble's kernel backend into the solver's
-            # evaluation GEMMs before the initial field solve runs.
-            field_solver.set_kernel_backend(resolve_backend(configs[0].backend))
         super().__init__(configs, field_solver=field_solver, rngs=rngs)
 
     @classmethod

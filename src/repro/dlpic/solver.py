@@ -82,20 +82,6 @@ class DLFieldSolver:
         # (weights are frozen at serving time — call
         # :meth:`invalidate_float32_cache` after mutating them).
         self._model_f32: "Sequential | None" = None
-        # Kernel backend threaded into evaluation-mode Dense GEMMs.
-        self._kernel_backend = None
-
-    def set_kernel_backend(self, backend) -> None:
-        """Route this solver's evaluation GEMMs through ``backend``.
-
-        ``backend`` is a ``repro.kernels`` backend or ``None`` (the
-        reference block loop).  Applied to both the float64 model and
-        the lazily built float32 copy.
-        """
-        self._kernel_backend = backend
-        self.model.set_eval_backend(backend)
-        if self._model_f32 is not None:
-            self._model_f32.set_eval_backend(backend)
 
     def invalidate_float32_cache(self) -> None:
         """Drop the float32 weight copy (call after mutating weights)."""
@@ -110,7 +96,6 @@ class DLFieldSolver:
             for layer in model.layers:
                 for key, value in layer.params.items():
                     layer.params[key] = value.astype(np.float32)
-            model.set_eval_backend(self._kernel_backend)
             self._model_f32 = model
         return self._model_f32
 

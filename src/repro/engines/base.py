@@ -58,7 +58,6 @@ STRUCTURAL_FIELDS = (
     "poisson_solver",
     "gradient",
     "dtype",
-    "backend",
 )
 
 # Phase-space grid knobs of the Vlasov family, read from
@@ -78,7 +77,6 @@ VLASOV_STRUCTURAL_FIELDS = (
     "poisson_solver",
     "gradient",
     "dtype",
-    "backend",
 )
 
 
@@ -168,6 +166,41 @@ class Engine(Protocol):
         ...
 
 
+def run_ensemble(
+    engine,
+    n_steps: "int | None" = None,
+    history: "Observables | None" = None,
+    callback: "Callable | None" = None,
+) -> "Observables":
+    """The batched engines' shared ``run`` (bound as a method).
+
+    Runs ``n_steps`` cycles (default: the members' common
+    ``config.n_steps``; members that disagree must pass it explicitly),
+    recording the initial state and every step into ``history`` (a fresh
+    ``engine.observables()`` by default), so a run yields
+    ``n_steps + 1`` records of ``(batch,)`` vectors.  ``callback(engine)``
+    fires after every step (the data campaigns harvest through it).
+    """
+    if n_steps is None:
+        if any(cfg.n_steps != engine.config.n_steps for cfg in engine.configs):
+            raise ValueError(
+                "ensemble members disagree on config.n_steps; "
+                "pass n_steps to run() explicitly"
+            )
+        n_steps = engine.config.n_steps
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    hist = history if history is not None else engine.observables()
+    hist.reserve(len(hist) + n_steps + 1)  # stream into one preallocated buffer
+    engine._record(hist)
+    for _ in range(n_steps):
+        engine.step()
+        engine._record(hist)
+        if callback is not None:
+            callback(engine)
+    return hist
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """One registered engine family.
@@ -182,11 +215,11 @@ class EngineSpec:
     and picks the right measurement for kind-dependent observables
     (see :func:`repro.engines.observables.resolve_observables`).
 
-    ``dtypes`` and ``backends`` declare the numerical tiers and kernel
-    backends the family can run; :func:`require_tier` rejects anything
-    else at submit time with a message derived from the registry, so
-    the error always names which families *do* support the requested
-    tier (and never goes stale as tiers expand).
+    ``dtypes`` declares the numerical tiers the family can run;
+    :func:`require_tier` rejects anything else at submit time with a
+    message derived from the registry, so the error always names which
+    families *do* support the requested tier (and never goes stale as
+    tiers expand).
 
     ``row_shards`` lets the executor split a large group into row
     shards, each run start to finish by its own engine on its own
@@ -202,7 +235,6 @@ class EngineSpec:
     validate: "Callable[[SimulationConfig], None] | None" = None
     kind: str = "pic"
     dtypes: "tuple[str, ...]" = ("float64",)
-    backends: "tuple[str, ...]" = ("numpy",)
     row_shards: bool = False
 
 
@@ -293,16 +325,13 @@ def _pic_structural_key(config: SimulationConfig) -> Hashable:
     return tuple(getattr(config, name) for name in STRUCTURAL_FIELDS)
 
 
-def _families_supporting(field: str, value: str) -> "tuple[str, ...]":
-    """Registered families whose ``dtypes``/``backends`` include ``value``."""
-    return tuple(
-        name for name in available_engines()
-        if value in getattr(_ENGINES[name], field)
-    )
+def _families_supporting(dtype: str) -> "tuple[str, ...]":
+    """Registered families whose ``dtypes`` include ``dtype``."""
+    return tuple(name for name in available_engines() if dtype in _ENGINES[name].dtypes)
 
 
 def require_tier(config: SimulationConfig) -> None:
-    """Reject dtype/backend tiers the config's family does not declare.
+    """Reject dtype tiers the config's family does not declare.
 
     The error message is derived from the registry: it names the tiers
     the family *does* support and the families that support the
@@ -310,19 +339,11 @@ def require_tier(config: SimulationConfig) -> None:
     """
     spec = get_engine_spec(config.solver)
     if config.dtype not in spec.dtypes:
-        supporters = _families_supporting("dtypes", config.dtype)
+        supporters = _families_supporting(config.dtype)
         raise ValueError(
             f"solver={config.solver!r} supports dtype tier(s) "
             f"{', '.join(spec.dtypes)}, got dtype={config.dtype!r} "
             f"(dtype={config.dtype!r} is available for: "
-            f"{', '.join(supporters) if supporters else 'no registered family'})"
-        )
-    if config.backend not in spec.backends:
-        supporters = _families_supporting("backends", config.backend)
-        raise ValueError(
-            f"solver={config.solver!r} supports kernel backend(s) "
-            f"{', '.join(spec.backends)}, got backend={config.backend!r} "
-            f"(backend={config.backend!r} is available for: "
             f"{', '.join(supporters) if supporters else 'no registered family'})"
         )
 
@@ -432,7 +453,6 @@ register_engine(EngineSpec(
     structural_key=_pic_structural_key,
     validate=_pic_validate,
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded", "numba"),
     row_shards=True,
 ))
 register_engine(EngineSpec(
@@ -441,7 +461,6 @@ register_engine(EngineSpec(
     structural_key=_pic_structural_key,
     validate=_dl_validate,
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="vlasov",
@@ -450,7 +469,6 @@ register_engine(EngineSpec(
     validate=_vlasov_validate,
     kind="vlasov",
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="energy",

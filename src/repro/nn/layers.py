@@ -35,20 +35,14 @@ finite differences at double precision).  Evaluation-mode forwards are
 dtype-following instead: float32 inputs flow through float32 kernels
 (the DL serving tier casts a frozen copy of the weights down, see
 ``repro.dlpic.DLFieldSolver``), everything else is coerced to float64
-exactly as before.  Evaluation ``Dense`` GEMMs additionally accept a
-kernel backend (``Dense.eval_backend``): the block loop is expressed
-over row ranges, so a parallel backend runs whole ``GEMM_BLOCK`` blocks
-concurrently — never splitting a block, hence never changing a bit.
+exactly as before.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.kernels import KernelBackend
 from repro.nn.initializers import get_initializer
 from repro.utils.rng import as_generator
 
@@ -70,7 +64,6 @@ def blocked_gemm(
     x: np.ndarray,
     w: np.ndarray,
     out: "np.ndarray | None" = None,
-    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """``x @ w`` computed in fixed ``GEMM_BLOCK``-row blocks.
 
@@ -88,30 +81,18 @@ def blocked_gemm(
     BLAS can no longer cache-block across thousands of rows) for
     predictions that are reproducible under any dataset chunking; the
     expensive training forwards keep the unblocked ``x @ W``.
-
-    A parallel ``backend`` runs contiguous runs of whole blocks
-    concurrently — block boundaries are pinned via
-    ``run_rows(..., multiple=GEMM_BLOCK)``, so the per-block GEMMs (and
-    their bits) are unchanged.
     """
     n = x.shape[0]
     if out is None:
         out = np.empty((n, w.shape[1]), dtype=np.promote_types(x.dtype, w.dtype))
-
-    def run(lo: int, hi: int) -> None:
-        for start in range(lo, hi, GEMM_BLOCK):
-            stop = min(start + GEMM_BLOCK, n)
-            if stop - start == GEMM_BLOCK:
-                np.matmul(x[start:stop], w, out=out[start:stop])
-            else:
-                padded = np.zeros((GEMM_BLOCK, x.shape[1]), dtype=x.dtype)
-                padded[: stop - start] = x[start:stop]
-                out[start:stop] = np.matmul(padded, w)[: stop - start]
-
-    if backend is not None and backend.parallel:
-        backend.run_rows(n, run, multiple=GEMM_BLOCK)
-    else:
-        run(0, n)
+    for start in range(0, n, GEMM_BLOCK):
+        stop = min(start + GEMM_BLOCK, n)
+        if stop - start == GEMM_BLOCK:
+            np.matmul(x[start:stop], w, out=out[start:stop])
+        else:
+            padded = np.zeros((GEMM_BLOCK, x.shape[1]), dtype=x.dtype)
+            padded[: stop - start] = x[start:stop]
+            out[start:stop] = np.matmul(padded, w)[: stop - start]
     return out
 
 
@@ -166,9 +147,6 @@ class Dense(Layer):
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._x: "np.ndarray | None" = None
-        #: Optional kernel backend for evaluation-mode GEMMs (set by
-        #: ``Sequential.set_eval_backend``); None = reference loop.
-        self.eval_backend: "KernelBackend | None" = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
@@ -183,7 +161,7 @@ class Dense(Layer):
         # Inference fast path: no backward cache, batch-size-invariant
         # fixed-width GEMM, bias added in place into the output buffer.
         self._x = None
-        out = blocked_gemm(x, self.params["W"], backend=self.eval_backend)
+        out = blocked_gemm(x, self.params["W"])
         out += self.params["b"]
         return out
 

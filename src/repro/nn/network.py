@@ -77,18 +77,6 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
-    def set_eval_backend(self, backend) -> "Sequential":
-        """Route evaluation-mode Dense GEMMs through a kernel backend.
-
-        ``backend`` is a ``repro.kernels`` backend instance or ``None``
-        (the reference block loop).  Training is unaffected.  Returns
-        self for chaining.
-        """
-        for layer in self.layers:
-            if hasattr(layer, "eval_backend"):
-                layer.eval_backend = backend
-        return self
-
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Inference in evaluation mode, batched to bound memory.
 

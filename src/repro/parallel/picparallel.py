@@ -22,13 +22,13 @@ byte counts so sweeps over rank counts don't need actual runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
-from repro.engines.base import STRUCTURAL_FIELDS, mpi_rank_params
+from repro.engines.base import STRUCTURAL_FIELDS, mpi_rank_params, run_ensemble
 from repro.parallel.comm import CommStats, SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition1D
 from repro.engines.observables import Frame, Observables, pic_observables
@@ -312,33 +312,7 @@ class MPIEnsemble:
             particles=self.particles, v_center=self.v_at_integer_time,
         ))
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[MPIEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics."""
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
+    run = run_ensemble
 
 
 def communication_model(

@@ -30,13 +30,13 @@ solve happens only once, at initialization.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import constants
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS
+from repro.engines.base import STRUCTURAL_FIELDS, run_ensemble
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import charge_density, deposit, gather
@@ -261,30 +261,4 @@ class EnergyConservingEnsemble:
             particles=self.particles,
         ))
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[EnergyConservingEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics."""
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
+    run = run_ensemble

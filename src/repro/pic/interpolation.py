@@ -39,39 +39,18 @@ output row through offset flat indices (one ``np.add.at`` call for the
 whole ensemble); batched gathers read each row's field through the same
 flattening.  Row ``b`` of a batched result is bitwise identical to the
 corresponding single-run call, which is what lets the ensemble engine
-reproduce sequential runs exactly.
-
-Both routines take an optional kernel ``backend`` (``repro.kernels``):
-the batched work is expressed as a slab function over contiguous row
-ranges, so the threaded backend can chunk independent rows across its
-pool and the numba backend can swap in its jitted float64 loops —
-always reproducing the reference rows bit for bit.  ``backend=None``
-is the reference path itself (one full slab, zero overhead).
+reproduce sequential runs exactly.  Intra-group parallelism lives one
+level up, in the executor's row shards (``repro.service.executor``),
+which rely on exactly that per-row invariance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import KernelBackend, NumbaBackend
 from repro.pic.grid import Grid1D
 
 _ORDERS = ("ngp", "cic", "tsc")
-
-
-def _run_rows(backend: "KernelBackend | None", n_rows: int, fn) -> None:
-    """Execute a slab function through ``backend`` (None = one slab)."""
-    if backend is None:
-        fn(0, n_rows)
-    else:
-        backend.run_rows(n_rows, fn)
-
-
-def _jit_kernels(backend: "KernelBackend | None"):
-    """The numba kernel module when ``backend`` carries live JIT kernels."""
-    if isinstance(backend, NumbaBackend):
-        return backend.jit
-    return None
 
 
 def _check_order(order: str) -> None:
@@ -192,7 +171,6 @@ def deposit(
     positions: np.ndarray,
     weights: "np.ndarray | float",
     order: str = "cic",
-    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """Scatter per-particle ``weights`` onto grid nodes.
 
@@ -205,9 +183,7 @@ def deposit(
     ``(batch, n)`` stack of independent runs (returns
     ``(batch, n_cells)``, each row deposited independently).  Any other
     shape, or ``weights`` that do not broadcast against ``positions``,
-    raises ``ValueError``.  ``backend`` selects how the independent
-    rows execute (see the module docstring); every backend reproduces
-    the default's rows bit for bit.
+    raises ``ValueError``.
     """
     _check_order(order)
     x = _wrap_positions(_check_positions(positions), grid.length)
@@ -226,57 +202,43 @@ def deposit(
     # the historical bit-for-bit accumulation, float32 runs accumulate
     # (and return) single precision.
     out = np.zeros((batch, grid.n_cells), dtype=x.dtype)
-    jit = _jit_kernels(backend)
-    if jit is not None and x.dtype == np.float64:
-        def slab(lo: int, hi: int) -> None:
-            jit.deposit_rows(
-                out[lo:hi], x2[lo:hi], np.ascontiguousarray(w2[lo:hi]),
-                grid.dx, jit.ORDER_CODES[order],
-            )
-    else:
-        def slab(lo: int, hi: int) -> None:
-            # Offset flat indices scatter every row of the slab into its
-            # own output row with a single np.add.at; the indices and
-            # weight products are raveled because ufunc.at is several
-            # times faster on 1-D operands than on 2-D ones (the
-            # accumulation order — and hence the bit pattern — is
-            # identical either way, and independent of the slab bounds).
-            xs = x2[lo:hi]
-            ws = w2[lo:hi]
-            flat = out[lo:hi].reshape(-1)
-            offs = (np.arange(hi - lo, dtype=np.int64) * grid.n_cells)[:, None]
+    # Offset flat indices scatter every row into its own output row with
+    # a single np.add.at; the indices and weight products are raveled
+    # because ufunc.at is several times faster on 1-D operands than on
+    # 2-D ones (the accumulation order — and hence the bit pattern — is
+    # identical either way).
+    flat = out.reshape(-1)
+    offs = (np.arange(batch, dtype=np.int64) * grid.n_cells)[:, None]
 
-            def scatter(j: np.ndarray, wj: np.ndarray) -> None:
-                np.add.at(flat, (offs + j).ravel(), wj.ravel())
+    def scatter(j: np.ndarray, wj: np.ndarray) -> None:
+        np.add.at(flat, (offs + j).ravel(), wj.ravel())
 
-            if order == "ngp":
-                scatter(_ngp_indices(xs, grid), np.ascontiguousarray(ws))
-            elif order == "cic" and xs.dtype == np.float32:
-                # float32 tier: scatter into rows padded with two ghost
-                # nodes and fold those onto nodes 0 and 1, so neither
-                # index is wrapped.  The fold sums node 0/1 in a
-                # different order than the wrapped scatter, a rounding
-                # difference the tier's tolerance allows.
-                j, frac = _cic_floor_frac(xs, grid)
-                n_ext = grid.n_cells + 2
-                ext = np.zeros((hi - lo, n_ext), dtype=xs.dtype)
-                idx = ((np.arange(hi - lo, dtype=np.int64) * n_ext)[:, None] + j).ravel()
-                ext_flat = ext.reshape(-1)
-                np.add.at(ext_flat, idx, (ws * (1.0 - frac)).ravel())
-                np.add.at(ext_flat[1:], idx, (ws * frac).ravel())
-                ext[:, :2] += ext[:, -2:]
-                out[lo:hi] = ext[:, :-2]
-            elif order == "cic":
-                jl, jr, wl, wr = _cic_indices_weights(xs, grid)
-                scatter(jl, ws * wl)
-                scatter(jr, ws * wr)
-            else:  # tsc
-                jl, jc, jr, wl, wc, wr = _tsc_indices_weights(xs, grid)
-                scatter(jl, ws * wl)
-                scatter(jc, ws * wc)
-                scatter(jr, ws * wr)
-
-    _run_rows(backend, batch, slab)
+    if order == "ngp":
+        scatter(_ngp_indices(x2, grid), np.ascontiguousarray(w2))
+    elif order == "cic" and x2.dtype == np.float32:
+        # float32 tier: scatter into rows padded with two ghost nodes
+        # and fold those onto nodes 0 and 1, so neither index is
+        # wrapped.  The fold sums node 0/1 in a different order than
+        # the wrapped scatter, a rounding difference the tier's
+        # tolerance allows.
+        j, frac = _cic_floor_frac(x2, grid)
+        n_ext = grid.n_cells + 2
+        ext = np.zeros((batch, n_ext), dtype=x2.dtype)
+        idx = ((np.arange(batch, dtype=np.int64) * n_ext)[:, None] + j).ravel()
+        ext_flat = ext.reshape(-1)
+        np.add.at(ext_flat, idx, (w2 * (1.0 - frac)).ravel())
+        np.add.at(ext_flat[1:], idx, (w2 * frac).ravel())
+        ext[:, :2] += ext[:, -2:]
+        out[:] = ext[:, :-2]
+    elif order == "cic":
+        jl, jr, wl, wr = _cic_indices_weights(x2, grid)
+        scatter(jl, w2 * wl)
+        scatter(jr, w2 * wr)
+    else:  # tsc
+        jl, jc, jr, wl, wc, wr = _tsc_indices_weights(x2, grid)
+        scatter(jl, w2 * wl)
+        scatter(jc, w2 * wc)
+        scatter(jr, w2 * wr)
     out /= grid.dx
     return out if batched else out[0]
 
@@ -286,15 +248,13 @@ def gather(
     field: np.ndarray,
     positions: np.ndarray,
     order: str = "cic",
-    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """Interpolate a node-defined ``field`` to particle ``positions``.
 
     With 1-D positions the field must be ``(n_cells,)``.  With batched
     ``(batch, n)`` positions the field may be ``(batch, n_cells)`` (one
     field per run) or ``(n_cells,)`` (shared across the ensemble); the
-    result is ``(batch, n)``.  ``backend`` routes the batched rows (see
-    the module docstring); results are bit-identical for every backend.
+    result is ``(batch, n)``.
     """
     _check_order(order)
     field = np.asarray(field)
@@ -317,65 +277,44 @@ def gather(
     if field.ndim == 1 and field.shape == (grid.n_cells,):
         # Field shared across the ensemble: plain fancy indexing with the
         # index arrays reads it directly — no offsets, no copy.
-        def pick(j: np.ndarray, lo: int) -> np.ndarray:
+        def pick(j: np.ndarray) -> np.ndarray:
             return field[j]
 
     elif field.shape == (batch, grid.n_cells):
         flat = np.ascontiguousarray(field).reshape(-1)
         offs = (np.arange(batch, dtype=np.int64) * grid.n_cells)[:, None]
 
-        def pick(j: np.ndarray, lo: int) -> np.ndarray:
+        def pick(j: np.ndarray) -> np.ndarray:
             # 1-D fancy indexing is measurably faster than 2-D.
-            return flat[(offs[lo : lo + j.shape[0]] + j).ravel()].reshape(j.shape)
+            return flat[(offs + j).ravel()].reshape(j.shape)
 
     else:
         raise ValueError(
             f"field has shape {field.shape}, expected ({grid.n_cells},) or "
             f"({batch}, {grid.n_cells}) for batched positions"
         )
-    # ngp copies field samples verbatim; the weighted orders promote the
-    # field against the positions-dtype weights exactly as the reference
-    # expressions always have.
-    out_dtype = field.dtype if order == "ngp" else np.result_type(field.dtype, x.dtype)
-    out = np.empty(x.shape, dtype=out_dtype)
-    jit = _jit_kernels(backend)
-    if jit is not None and per_row and x.dtype == np.float64 and field.dtype == np.float64:
-        cfield = np.ascontiguousarray(field)
-
-        def slab(lo: int, hi: int) -> None:
-            jit.gather_rows(
-                out[lo:hi], cfield[lo:hi], x[lo:hi], grid.dx, jit.ORDER_CODES[order]
-            )
-    else:
-        if order == "cic":
-            # Field rows padded with two periodic ghost nodes (copies of
-            # nodes 0 and 1): the stencil then reads nodes j and j + 1
-            # for any unwrapped j in [0, n_cells] without wrapping either
-            # index.  Same field samples, same bits; four fewer passes.
-            rows = field if per_row else field[None]
-            n_ext = grid.n_cells + 2
-            ext = np.concatenate([rows, rows[:, :2]], axis=1).reshape(-1)
-            ext_offs = (np.arange(batch, dtype=np.int64) * (n_ext if per_row else 0))[:, None]
-
-        def slab(lo: int, hi: int) -> None:
-            xs = x[lo:hi]
-            if order == "ngp":
-                out[lo:hi] = pick(_ngp_indices(xs, grid), lo)
-            elif order == "cic":
-                j, frac = _cic_floor_frac(xs, grid)
-                idx = (ext_offs[lo:hi] + j).ravel()
-                out[lo:hi] = (
-                    ext[idx].reshape(j.shape) * (1.0 - frac)
-                    + ext[1:][idx].reshape(j.shape) * frac
-                )
-            else:  # tsc
-                jl, jc, jr, wl, wc, wr = _tsc_indices_weights(xs, grid)
-                out[lo:hi] = (
-                    pick(jl, lo) * wl + pick(jc, lo) * wc + pick(jr, lo) * wr
-                )
-
-    _run_rows(backend, batch, slab)
-    return out
+    if order == "ngp":
+        # ngp copies field samples verbatim.
+        return pick(_ngp_indices(x, grid))
+    # The weighted orders promote the field against the positions-dtype
+    # weights exactly as the reference expressions always have.
+    if order == "cic":
+        # Field rows padded with two periodic ghost nodes (copies of
+        # nodes 0 and 1): the stencil then reads nodes j and j + 1 for
+        # any unwrapped j in [0, n_cells] without wrapping either index.
+        # Same field samples, same bits; four fewer passes.
+        rows = field if per_row else field[None]
+        n_ext = grid.n_cells + 2
+        ext = np.concatenate([rows, rows[:, :2]], axis=1).reshape(-1)
+        ext_offs = (np.arange(batch, dtype=np.int64) * (n_ext if per_row else 0))[:, None]
+        j, frac = _cic_floor_frac(x, grid)
+        idx = (ext_offs + j).ravel()
+        return (
+            ext[idx].reshape(j.shape) * (1.0 - frac)
+            + ext[1:][idx].reshape(j.shape) * frac
+        )
+    jl, jc, jr, wl, wc, wr = _tsc_indices_weights(x, grid)
+    return pick(jl) * wl + pick(jc) * wc + pick(jr) * wr
 
 
 def charge_density(
@@ -384,7 +323,6 @@ def charge_density(
     particle_charge: float,
     order: str = "cic",
     background: float = 1.0,
-    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """Total charge density: deposited electrons plus a uniform ion
     background (the paper's motionless neutralizing protons).
@@ -393,5 +331,5 @@ def charge_density(
     mean of the returned density is zero to round-off.  Accepts single
     ``(n,)`` or batched ``(batch, n)`` positions like :func:`deposit`.
     """
-    rho = deposit(grid, positions, particle_charge, order=order, backend=backend)
+    rho = deposit(grid, positions, particle_charge, order=order)
     return rho + background

@@ -13,11 +13,7 @@ it reduces exactly to the leapfrog velocity update.
 All pushers are purely elementwise, so they operate unchanged on a
 single run (arrays of shape ``(n,)``) or on a stacked ensemble of
 independent runs (``(batch, n)``) — the batched update of row ``b`` is
-bitwise identical to pushing that row alone.  That same row
-independence lets the leapfrog pushers take an optional kernel
-``backend`` (``repro.kernels``): a parallel backend updates contiguous
-row chunks concurrently, producing the reference bit pattern because
-each output row depends only on the matching input rows.
+bitwise identical to pushing that row alone.
 
 :func:`push_positions` wraps only the particles that crossed a
 periodic boundary, not the whole array (see :func:`_wrap_escapers`).
@@ -27,30 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import KernelBackend
-
-
-def _chunked(backend: "KernelBackend | None", x: np.ndarray) -> bool:
-    """Whether ``backend`` should split this array's batch rows."""
-    return backend is not None and backend.parallel and x.ndim == 2
-
 
 def push_velocities(
-    v: np.ndarray,
-    e_at_particles: np.ndarray,
-    qm: float,
-    dt: float,
-    backend: "KernelBackend | None" = None,
+    v: np.ndarray, e_at_particles: np.ndarray, qm: float, dt: float
 ) -> np.ndarray:
     """Leapfrog velocity update (Eq. 2); returns a new array."""
-    if _chunked(backend, v):
-        out = np.empty_like(v)
-
-        def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = v[lo:hi] + qm * e_at_particles[lo:hi] * dt
-
-        backend.run_rows(v.shape[0], slab)
-        return out
     return v + qm * e_at_particles * dt
 
 
@@ -77,13 +54,7 @@ def _wrap_escapers(y: np.ndarray, length: float) -> np.ndarray:
     return y
 
 
-def push_positions(
-    x: np.ndarray,
-    v: np.ndarray,
-    dt: float,
-    length: float,
-    backend: "KernelBackend | None" = None,
-) -> np.ndarray:
+def push_positions(x: np.ndarray, v: np.ndarray, dt: float, length: float) -> np.ndarray:
     """Leapfrog position update (Eq. 1) with periodic wrapping.
 
     Returns a new array.  Only the particles that left ``[0, L)`` are
@@ -93,39 +64,17 @@ def push_positions(
     just below ``L`` rather than being mapped to a tiny negative value
     as the former all-particle floor wrap did.
     """
-    if _chunked(backend, x):
-        out = np.empty_like(x)
-
-        def slab(lo: int, hi: int) -> None:
-            ys = out[lo:hi]
-            np.add(x[lo:hi], v[lo:hi] * dt, out=ys)
-            _wrap_escapers(ys, length)
-
-        backend.run_rows(x.shape[0], slab)
-        return out
     return _wrap_escapers(x + v * dt, length)
 
 
 def rewind_velocities(
-    v: np.ndarray,
-    e_at_particles: np.ndarray,
-    qm: float,
-    dt: float,
-    backend: "KernelBackend | None" = None,
+    v: np.ndarray, e_at_particles: np.ndarray, qm: float, dt: float
 ) -> np.ndarray:
     """Shift velocities from ``t=0`` back to ``t=-dt/2`` to start leapfrog.
 
     Standard leapfrog initialization: the loaded velocities are defined
     at integer time 0 while the scheme stores them at half steps.
     """
-    if _chunked(backend, v):
-        out = np.empty_like(v)
-
-        def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = v[lo:hi] - 0.5 * qm * e_at_particles[lo:hi] * dt
-
-        backend.run_rows(v.shape[0], slab)
-        return out
     return v - 0.5 * qm * e_at_particles * dt
 
 

@@ -29,9 +29,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS
+from repro.engines.base import STRUCTURAL_FIELDS, run_ensemble
 from repro.engines.observables import Frame, Observables, pic_observables
-from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import charge_density, gather
 from repro.pic.mover import push_positions, push_velocities, rewind_velocities
@@ -116,13 +115,11 @@ class ChargeDepositionFieldSolver:
         poisson_method: str = "spectral",
         gradient: str = "central",
         background: float = 1.0,
-        backend: "KernelBackend | None" = None,
     ) -> None:
         self.grid = grid
         self.particle_charge = particle_charge
         self.interpolation = interpolation
         self.background = background
-        self.backend = backend
         self.poisson = PoissonSolver(grid, method=poisson_method, gradient=gradient)
         self.last_rho: "np.ndarray | None" = None
         self.last_phi: "np.ndarray | None" = None
@@ -130,7 +127,7 @@ class ChargeDepositionFieldSolver:
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         rho = charge_density(
             self.grid, x, self.particle_charge, order=self.interpolation,
-            background=self.background, backend=self.backend,
+            background=self.background,
         )
         phi, e = self.poisson.solve(rho)
         self.last_rho = rho
@@ -196,11 +193,6 @@ class EnsembleSimulation:
         self.config = ref  # structural reference member
         self.batch = len(self.configs)
         self.grid = Grid1D(ref.n_cells, ref.box_length)
-        # The kernel backend tier: how the independent batch rows of
-        # every hot kernel execute.  All backends reproduce the numpy
-        # reference bit for bit (per-row invariance), so this is purely
-        # a speed knob.
-        self._backend = resolve_backend(ref.backend)
         if field_solver is None:
             field_solver = ChargeDepositionFieldSolver(
                 self.grid,
@@ -208,7 +200,6 @@ class EnsembleSimulation:
                 interpolation=ref.interpolation,
                 poisson_method=ref.poisson_solver,
                 gradient=ref.gradient,
-                backend=self._backend,
             )
         self.field_solver = as_batched_solver(field_solver)
         self.particles: ParticleSet = load_ensemble(self.configs, rngs)
@@ -236,9 +227,7 @@ class EnsembleSimulation:
         # arrays are the same objects (see the class docstring).
         self._gathered: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         # Rewind v to t = -dt/2 for leapfrog staggering.
-        self.particles.v = rewind_velocities(
-            self.particles.v, self._gather(), ref.qm, ref.dt, backend=self._backend
-        )
+        self.particles.v = rewind_velocities(self.particles.v, self._gather(), ref.qm, ref.dt)
         self._freeze_state()
 
     @classmethod
@@ -291,9 +280,7 @@ class EnsembleSimulation:
         cached = self._gathered
         if cached is not None and cached[0] is x and cached[1] is efield:
             return cached[2]
-        e_at_p = gather(
-            self.grid, efield, x, order=self.config.interpolation, backend=self._backend
-        )
+        e_at_p = gather(self.grid, efield, x, order=self.config.interpolation)
         self._gathered = (x, efield, e_at_p)
         return e_at_p
 
@@ -305,13 +292,9 @@ class EnsembleSimulation:
     def step(self) -> None:
         """Advance every member one PIC cycle (gather -> push v -> push x -> field)."""
         cfg = self.config
-        backend = self._backend
-        e_at_p = self._gather()
-        v_new = push_velocities(self.particles.v, e_at_p, cfg.qm, cfg.dt, backend=backend)
+        v_new = push_velocities(self.particles.v, self._gather(), cfg.qm, cfg.dt)
         self.particles.v = v_new
-        self.particles.x = push_positions(
-            self.particles.x, v_new, cfg.dt, cfg.box_length, backend=backend
-        )
+        self.particles.x = push_positions(self.particles.x, v_new, cfg.dt, cfg.box_length)
         self.efield = np.asarray(
             self.field_solver.field(self.particles.x, self.particles.v), dtype=self._dtype
         )
@@ -323,41 +306,7 @@ class EnsembleSimulation:
         self._v_integer = v_new + 0.5 * cfg.qm * self._gather() * cfg.dt
         self._freeze_state()
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[EnsembleSimulation], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics each step.
-
-        The history includes the initial state, so it holds
-        ``n_steps + 1`` records of ``(batch,)`` vectors.  Pass any
-        :class:`Observables` pipeline (e.g. one built from a request's
-        observables selection) to record custom measurements.
-        ``callback`` fires after every step (used by the vectorized
-        data campaign).
-        """
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)  # stream into one preallocated buffer
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
+    run = run_ensemble
 
 
 class PICSimulation:
@@ -489,7 +438,6 @@ class TraditionalPIC(PICSimulation):
             interpolation=config.interpolation,
             poisson_method=config.poisson_solver,
             gradient=config.gradient,
-            backend=resolve_backend(config.backend),
         )
         super().__init__(config, solver, rng)
 

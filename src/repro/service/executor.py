@@ -68,7 +68,6 @@ from repro.engines.observables import (
     StepTimer,
     resolve_observables,
 )
-from repro.kernels import usable_cores
 from repro.obs.trace import new_span_id
 
 
@@ -213,6 +212,14 @@ _CORE_BUDGET: "int | None" = None
 # Process-wide pool running every row shard but the calling thread's.
 _SHARD_POOL: "ThreadPoolExecutor | None" = None
 _SHARD_POOL_LOCK = threading.Lock()
+
+
+def usable_cores() -> int:
+    """CPU cores this process may run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def shard_cores() -> int:

@@ -41,6 +41,8 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import SimulationConfig
 from repro.engines.base import validate_engine_config
 from repro.engines.observables import canonical_observables, resolve_observables
@@ -62,6 +64,25 @@ if TYPE_CHECKING:
 STATUS_QUEUED = "queued"
 STATUS_CACHED = "cached"
 STATUS_INFLIGHT = "inflight"
+
+
+def _non_finite_parts(result: SimulationResult) -> "list[str]":
+    """Names of the result's arrays holding a NaN or an infinity.
+
+    Covers every observable series, the final field and the final
+    phase space, i.e. everything a requester or the store would keep.
+    """
+    parts = {f"series[{name!r}]": values for name, values in result.series.items()}
+    parts.update(
+        efield=result.efield,
+        final_x=result.final_x,
+        final_v=result.final_v,
+        final_f=result.final_f,
+    )
+    return [
+        name for name, values in parts.items()
+        if values is not None and not np.isfinite(values).all()
+    ]
 
 
 class StoreHitFuture(Future):
@@ -569,6 +590,15 @@ class SimulationService:
                 ),
                 timings=timings,
             )
+            bad = _non_finite_parts(result)
+            if bad:
+                # Diverged physics is an execution error, never a result:
+                # it is neither stored nor served as ok.  The group's
+                # other rows are independent and deliver normally.
+                self._fail_group([request], FloatingPointError(
+                    f"run produced non-finite values in {', '.join(bad)}"
+                ))
+                continue
             t_put = time.perf_counter()
             try:
                 # Thread-safe store; keep the (possibly compressed-npz)

@@ -24,14 +24,13 @@ structural key (grid, window, ``dt``, ``qm``, Poisson discretization).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import get_engine_spec, vlasov_grid_params
+from repro.engines.base import get_engine_spec, run_ensemble, vlasov_grid_params
 from repro.engines.observables import Frame, Observables, vlasov_observables
-from repro.kernels import resolve_backend
 from repro.pic.grid import Grid1D
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_distribution
@@ -162,11 +161,6 @@ class VlasovEnsemble:
             self._v_centers = self._v_centers.astype(np.float32)
             self._xadv_w = self._xadv_w.astype(np.float32)
             self._v_rows = self._v_rows.astype(np.float32)
-        # The kernel backend tier: every advection is a slab function
-        # over contiguous batch rows, so a parallel backend chunks the
-        # stack while reproducing the reference bit pattern (each row's
-        # gathers and arithmetic are independent of the slab bounds).
-        self._backend = resolve_backend(ref.backend)
         self.time: float = 0.0
         self.step_index: int = 0
         self.efield: np.ndarray = self._solve_field()
@@ -202,15 +196,9 @@ class VlasovEnsemble:
         """
         flat = f.reshape(-1)
         w = self._xadv_w
-        out = np.empty_like(f)
-
-        def slab(lo: int, hi: int) -> None:
-            g0 = flat.take(self._xadv_flat0[lo:hi])
-            g1 = flat.take(self._xadv_flat1[lo:hi])
-            out[lo:hi] = (1.0 - w) * g0 + w * g1
-
-        self._backend.run_rows(self.batch, slab)
-        return out
+        g0 = flat.take(self._xadv_flat0)
+        g1 = flat.take(self._xadv_flat1)
+        return (1.0 - w) * g0 + w * g1
 
     def _advect_v(self, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Batched full v-advection (zero inflow), one flat gather per arm.
@@ -230,8 +218,6 @@ class VlasovEnsemble:
         flat = f.reshape(-1)
         # Interior rows r satisfy floor(r - s) in [0, n_v-2] for every
         # member's shift s at every column: r >= max(s) and r < n_v-1+min(s).
-        # Derived from the *whole* stack's shift so chunked backends see
-        # the same slab bounds as the reference (bitwise invariance).
         r0 = min(max(0, int(np.ceil(shift.max()))), n_v)
         r1 = max(r0, min(n_v, int(np.ceil(n_v - 1 + shift.min()))))
         out = np.empty_like(f)
@@ -242,32 +228,29 @@ class VlasovEnsemble:
             # dtype (the float64 path is the historical expression).
             return pos - (base if pos.dtype == np.float64 else base.astype(pos.dtype))
 
-        def slab(blo: int, bhi: int) -> None:
-            sh = shift[blo:bhi, None, :]
-            offs = self._v_flat_offset[blo:bhi]
-            if r1 > r0:
-                pos = v_rows[:, r0:r1] - sh
-                base = np.floor(pos).astype(np.int64)
-                w = _weights(pos, base)
-                gidx = base * n_x + offs
-                f0 = flat.take(gidx)
-                f1 = flat.take(gidx + n_x)
-                out[blo:bhi, r0:r1] = (1.0 - w) * f0 + w * f1
-            for lo, hi in ((0, r0), (r1, n_v)):
-                if lo >= hi:
-                    continue
-                pos = v_rows[:, lo:hi] - sh
-                base = np.floor(pos).astype(np.int64)
-                w = _weights(pos, base)
-                valid0 = (base >= 0) & (base < n_v)
-                valid1 = (base + 1 >= 0) & (base + 1 < n_v)
-                g0 = flat.take(np.clip(base, 0, n_v - 1) * n_x + offs)
-                g1 = flat.take(np.clip(base + 1, 0, n_v - 1) * n_x + offs)
-                f0 = np.where(valid0, g0, 0.0)
-                f1 = np.where(valid1, g1, 0.0)
-                out[blo:bhi, lo:hi] = (1.0 - w) * f0 + w * f1
-
-        self._backend.run_rows(self.batch, slab)
+        sh = shift[:, None, :]
+        offs = self._v_flat_offset
+        if r1 > r0:
+            pos = v_rows[:, r0:r1] - sh
+            base = np.floor(pos).astype(np.int64)
+            w = _weights(pos, base)
+            gidx = base * n_x + offs
+            f0 = flat.take(gidx)
+            f1 = flat.take(gidx + n_x)
+            out[:, r0:r1] = (1.0 - w) * f0 + w * f1
+        for lo, hi in ((0, r0), (r1, n_v)):
+            if lo >= hi:
+                continue
+            pos = v_rows[:, lo:hi] - sh
+            base = np.floor(pos).astype(np.int64)
+            w = _weights(pos, base)
+            valid0 = (base >= 0) & (base < n_v)
+            valid1 = (base + 1 >= 0) & (base + 1 < n_v)
+            g0 = flat.take(np.clip(base, 0, n_v - 1) * n_x + offs)
+            g1 = flat.take(np.clip(base + 1, 0, n_v - 1) * n_x + offs)
+            f0 = np.where(valid0, g0, 0.0)
+            f1 = np.where(valid1, g1, 0.0)
+            out[:, lo:hi] = (1.0 - w) * f0 + w * f1
         return out
 
     def step(self) -> None:
@@ -282,39 +265,7 @@ class VlasovEnsemble:
         self.time += vcfg.dt
         self.step_index += 1
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[VlasovEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` split steps, recording batched observables.
-
-        The recorder includes the initial state, so it holds
-        ``n_steps + 1`` records of ``(batch,)`` vectors — the same
-        schema as the PIC ensembles.  ``callback`` fires after every
-        step (used by the Vlasov data harvest).
-        """
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
+    run = run_ensemble
 
     def _record(self, hist: Observables) -> None:
         vcfg = self.vconfig

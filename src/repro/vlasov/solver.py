@@ -15,10 +15,9 @@ lines evaluated with (vectorized) linear interpolation — periodic in
 Unlike PIC, the solution carries no particle shot noise, which is what
 makes it attractive as a training-data source.
 
-This solo solver always runs the float64 numpy reference path; the
-speed tiers — ``dtype="float32"`` and the kernel ``backend`` knob —
-live on :class:`repro.vlasov.ensemble.VlasovEnsemble`, whose rows are
-bitwise identical to this solver in the default tier.
+This solo solver always runs in float64; the float32 speed tier lives
+on :class:`repro.vlasov.ensemble.VlasovEnsemble`, whose rows are
+bitwise identical to this solver in the default float64 tier.
 """
 
 from __future__ import annotations

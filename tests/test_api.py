@@ -125,6 +125,54 @@ class TestRunRequestSchema:
                        observables=[{"name": "mode", "mode": [1, 2]}])
 
 
+# Configs that pass validation yet drive the physics to inf/NaN.
+NON_FINITE_INPUTS = {
+    "energy-dt": {"solver": "energy", "dt": 1e308},
+    "v0": {"v0": 1e300},
+    "vth": {"vth": 1e300},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize(
+        "updates", list(NON_FINITE_INPUTS.values()), ids=list(NON_FINITE_INPUTS)
+    )
+    def test_diverged_run_is_an_error_and_never_stored(self, config, updates):
+        store = ResultStore()
+        request = RunRequest(config=config.with_updates(**updates), id="diverged")
+        with small_client(store=store, raise_on_error=False) as client:
+            first = client.run(request)
+            second = client.run(request)
+            stats = client.stats
+        assert first.status == "error"
+        assert "non-finite" in first.error
+        assert first.series == {}
+        assert len(store) == 0
+        # Nothing was stored, so the repeat executes (and fails) again.
+        assert second.status == "error"
+        assert second.submit_status == "queued" and not second.cache_hit
+        assert stats["errors"] == 2
+        assert stats["executed_runs"] == 0
+
+    def test_finite_rows_of_the_same_group_deliver(self, config):
+        from repro.engines import make_engine
+
+        store = ResultStore()
+        good = RunRequest(config=config.with_updates(seed=1), id="good")
+        bad = RunRequest(config=config.with_updates(seed=2, v0=1e300), id="bad")
+        with small_client(store=store, raise_on_error=False) as client:
+            results = client.map([good, bad])
+            histogram = client.service.batch_size_histogram
+        assert histogram == {2: 1}  # one engine group held both rows
+        assert [r.status for r in results] == ["ok", "error"]
+        assert len(store) == 1 and results[0].key in store
+        solo = make_engine(good.config).run().as_arrays()
+        np.testing.assert_array_equal(
+            np.asarray(results[0].series["mode1"]), solo["mode1"][:, 0]
+        )
+
+
 class TestLegacyLines:
     def test_legacy_line_hard_errors_naming_the_envelope(self):
         with pytest.raises(ValueError, match="legacy bare-config") as excinfo:

@@ -206,6 +206,22 @@ class TestSerialization:
             cfg.cache_key()
 
 
+class TestBackendField:
+    @pytest.mark.parametrize("backend", ["threaded", "numba", "", None, 1])
+    def test_non_numpy_backend_rejected_naming_the_field(self, backend):
+        with pytest.raises(ValueError, match="backend"):
+            SimulationConfig.from_dict({"n_cells": 32, "backend": backend})
+        with pytest.raises(ValueError, match="backend"):
+            SimulationConfig(backend=backend)
+
+    def test_numpy_accepted_with_the_default_key(self):
+        explicit = SimulationConfig.from_dict({"seed": 5, "backend": "numpy"})
+        default = SimulationConfig(seed=5)
+        assert explicit == default
+        assert explicit.to_dict()["backend"] == "numpy"
+        assert explicit.cache_key() == default.cache_key()
+
+
 INT_FIELDS = ("n_cells", "particles_per_cell", "n_steps", "perturbation_mode", "seed")
 FLOAT_FIELDS = ("box_length", "dt", "v0", "vth", "qm", "perturbation")
 

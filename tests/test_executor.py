@@ -16,7 +16,6 @@ import repro.service.executor as executor_module
 from repro.config import SimulationConfig
 from repro.engines.base import make_engine
 from repro.engines.observables import Observables, resolve_observables
-from repro.kernels import usable_cores
 from repro.service import (
     GroupTask,
     GroupTimeoutError,
@@ -25,7 +24,7 @@ from repro.service import (
     ShardedExecutor,
     SimulationService,
 )
-from repro.service.executor import run_group_task
+from repro.service.executor import run_group_task, usable_cores
 
 
 def _task(*configs: SimulationConfig, phase_space: bool = False) -> GroupTask:
@@ -41,12 +40,14 @@ def _task(*configs: SimulationConfig, phase_space: bool = False) -> GroupTask:
 def _run_with(monkeypatch, task, cores, floor=1, **kwargs):
     """Run ``task`` with a pinned core budget and particle floor.
 
-    Returns the outcome and how many engines were built for it.
+    Returns the outcome and the row count of every engine built for it,
+    in row order (shard threads build their engines in any order).
     """
+    rows = [SimulationConfig.from_dict(cfg) for cfg in task.configs]
     built = []
 
     def counting_make_engine(configs, **kw):
-        built.append(len(configs))
+        built.append((rows.index(configs[0]), len(configs)))
         return make_engine(configs, **kw)
 
     with monkeypatch.context() as patch:
@@ -54,7 +55,7 @@ def _run_with(monkeypatch, task, cores, floor=1, **kwargs):
         patch.setattr(executor_module, "MIN_SHARD_PARTICLES", floor)
         patch.setattr(executor_module, "make_engine", counting_make_engine)
         outcome = run_group_task(task, **kwargs)
-    return outcome, built
+    return outcome, [size for _, size in sorted(built)]
 
 
 def _assert_outcomes_bitwise_equal(a, b) -> None:

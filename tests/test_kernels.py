@@ -1,20 +1,10 @@
-"""Kernel backend tier: registry, chunking, and the engine parity matrix.
+"""Kernel dtype tiers: the float32-vs-float64 tolerance band per family.
 
-The contract under test is the one the backends are built on: every
-batch row of an engine is independent, so a backend that executes rows
-in contiguous chunks (``threaded``) or through a JIT kernel with the
-reference op ordering (``numba``) must reproduce the ``numpy``
-reference **bit for bit** in every dtype tier.  The matrix below runs
-scenario x family x backend x dtype and asserts exactly that, plus the
-float32-vs-float64 tolerance band and threaded determinism.
-
-The container running CI's fast leg may expose a single core, in which
-case ``ThreadedBackend()`` defaults to one worker and falls through to
-the reference slab — so the matrix injects ``ThreadedBackend(max_workers=3)``
-explicitly to force real chunking regardless of the host.  When numba
-is absent ``NumbaBackend`` degrades to the reference slab; the parity
-rows still run (and hold trivially), keeping the matrix shape stable
-across both CI legs.
+Every engine family that declares the float32 tier must track its
+float64 trajectory within a loose single-precision band.  The matrix
+below runs scenario x family on short batched runs and asserts exactly
+that (float64 itself is the bitwise oracle, pinned by the solo-vs-batch
+and engine tests).
 """
 
 import numpy as np
@@ -22,18 +12,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
-from repro.kernels import (
-    KERNEL_BACKEND_NAMES,
-    KernelBackend,
-    NumbaBackend,
-    ThreadedBackend,
-    available_backends,
-    backend_available,
-    backend_unavailable_reason,
-    get_backend,
-    resolve_backend,
-)
-from repro.kernels.numba_kernels import NUMBA_AVAILABLE
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -42,97 +20,6 @@ from repro.vlasov.ensemble import VlasovEnsemble
 
 BATCH = 4
 STEPS = 6
-
-
-# -- registry and config agreement --------------------------------------
-
-
-class TestRegistry:
-    def test_backend_names_are_the_config_literals(self):
-        # config.py validates against a literal triple (it cannot import
-        # repro.kernels without a cycle); this pins the two in sync.
-        assert KERNEL_BACKEND_NAMES == ("numpy", "threaded", "numba")
-        for name in KERNEL_BACKEND_NAMES:
-            SimulationConfig(backend=name)  # accepted
-        with pytest.raises(ValueError, match="backend"):
-            SimulationConfig(backend="cuda")
-
-    def test_get_backend_returns_singletons(self):
-        for name in KERNEL_BACKEND_NAMES:
-            assert get_backend(name) is get_backend(name)
-            assert get_backend(name).name == name
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_resolve_backend(self):
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("threaded") is get_backend("threaded")
-        inst = ThreadedBackend(max_workers=2)
-        assert resolve_backend(inst) is inst
-
-    def test_availability_probes(self):
-        assert backend_available("numpy")
-        assert backend_unavailable_reason("numpy") is None
-        assert backend_available("numba") == NUMBA_AVAILABLE
-        if not NUMBA_AVAILABLE:
-            assert "numba" in backend_unavailable_reason("numba")
-        assert set(available_backends()) <= set(KERNEL_BACKEND_NAMES)
-        assert "numpy" in available_backends()
-
-    def test_numba_backend_degrades_without_numba(self):
-        backend = NumbaBackend()
-        if not NUMBA_AVAILABLE:
-            assert backend.jit is None
-        out = []
-        backend.run_rows(3, lambda lo, hi: out.append((lo, hi)))
-        assert out == [(0, 3)]  # reference slab either way
-
-
-# -- ThreadedBackend chunking --------------------------------------------
-
-
-class TestThreadedBackend:
-    def _bounds(self, backend, n_rows, multiple=1):
-        seen = []
-        backend.run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)), multiple=multiple)
-        return sorted(seen)
-
-    def test_chunks_cover_every_row_exactly_once(self):
-        bounds = self._bounds(ThreadedBackend(max_workers=3), 10)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 10
-        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-            assert hi == lo
-        assert len(bounds) > 1  # actually chunked
-
-    def test_chunk_boundaries_respect_multiple(self):
-        bounds = self._bounds(ThreadedBackend(max_workers=3), 40, multiple=16)
-        for lo, hi in bounds:
-            assert lo % 16 == 0
-            assert hi % 16 == 0 or hi == 40
-        assert bounds[0][0] == 0 and bounds[-1][1] == 40
-
-    def test_single_unit_falls_through_inline(self):
-        # One row (or one multiple-sized unit) cannot be split: the
-        # backend must run it as the plain reference slab.
-        assert self._bounds(ThreadedBackend(max_workers=3), 1) == [(0, 1)]
-        assert self._bounds(ThreadedBackend(max_workers=3), 12, multiple=16) == [(0, 12)]
-        assert self._bounds(ThreadedBackend(max_workers=1), 8) == [(0, 8)]
-
-    def test_worker_exceptions_propagate(self):
-        def boom(lo, hi):
-            raise RuntimeError("kernel failed")
-
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            ThreadedBackend(max_workers=3).run_rows(8, boom)
-
-    def test_parallel_flags(self):
-        assert not KernelBackend().parallel
-        assert ThreadedBackend(max_workers=2).parallel
-
-
-# -- engine parity matrix ------------------------------------------------
 
 
 def _dl_solver(config):
@@ -158,30 +45,17 @@ def _vlasov_config(scenario):
     )
 
 
-def _build(family, scenario, dtype, backend_name):
+def _build(family, scenario, dtype):
     """Build + run one matrix cell; return its observable state arrays."""
     if family == "traditional":
-        config = _traditional_config(scenario).with_updates(
-            dtype=dtype, backend=backend_name
-        )
+        config = _traditional_config(scenario).with_updates(dtype=dtype)
         ens = EnsembleSimulation.from_config(config, BATCH)
     elif family == "vlasov":
-        config = _vlasov_config(scenario).with_updates(dtype=dtype, backend=backend_name)
+        config = _vlasov_config(scenario).with_updates(dtype=dtype)
         ens = VlasovEnsemble([config.with_updates(seed=config.seed + b) for b in range(BATCH)])
     else:  # dl
-        config = _traditional_config(scenario).with_updates(
-            dtype=dtype, backend=backend_name
-        )
+        config = _traditional_config(scenario).with_updates(dtype=dtype)
         ens = DLEnsemble.from_config(config, BATCH, _dl_solver(config))
-    if backend_name == "threaded":
-        # Force real chunking even on a single-core host (where the
-        # default worker count is 1 and the backend falls through).
-        forced = ThreadedBackend(max_workers=3)
-        ens._backend = forced
-        if family == "dl":
-            ens.field_solver.set_kernel_backend(forced)
-        elif family == "traditional":
-            ens.field_solver.backend = forced
     ens.run(STEPS)
     if family == "vlasov":
         return {"f": ens.f.copy(), "efield": ens.efield.copy()}
@@ -194,33 +68,14 @@ def _build(family, scenario, dtype, backend_name):
 
 FAMILIES = ("traditional", "vlasov", "dl")
 SCENARIOS = ("two_stream", "landau_damping")
-ALT_BACKENDS = ("threaded", "numba")
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("family", FAMILIES)
 class TestParityMatrix:
-    @pytest.mark.parametrize("backend_name", ALT_BACKENDS)
-    @pytest.mark.parametrize("dtype", ("float64", "float32"))
-    def test_backend_matches_numpy_reference_bitwise(
-        self, family, scenario, backend_name, dtype
-    ):
-        from repro.engines.base import get_engine_spec
-
-        if backend_name not in get_engine_spec(family).backends:
-            pytest.skip(f"{family} does not register the {backend_name} backend")
-        reference = _build(family, scenario, dtype, "numpy")
-        candidate = _build(family, scenario, dtype, backend_name)
-        for key, ref in reference.items():
-            assert candidate[key].dtype == ref.dtype
-            assert np.array_equal(candidate[key], ref), (
-                f"{family}/{scenario}/{dtype}: {backend_name} diverged from "
-                f"the numpy reference on {key!r}"
-            )
-
     def test_float32_tracks_float64_within_tolerance(self, family, scenario):
-        ref64 = _build(family, scenario, "float64", "numpy")
-        ref32 = _build(family, scenario, "float32", "numpy")
+        ref64 = _build(family, scenario, "float64")
+        ref32 = _build(family, scenario, "float32")
         for key, lo in ref32.items():
             assert lo.dtype == np.float32
             hi = ref64[key]
@@ -234,9 +89,3 @@ class TestParityMatrix:
                 f"{family}/{scenario}: float32 {key!r} drifted {diff:g} "
                 f"from float64 (scale {scale:g})"
             )
-
-    def test_threaded_is_deterministic(self, family, scenario):
-        first = _build(family, scenario, "float32", "threaded")
-        second = _build(family, scenario, "float32", "threaded")
-        for key, ref in first.items():
-            assert np.array_equal(second[key], ref)

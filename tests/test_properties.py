@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import ThreadedBackend
 from repro.phasespace.binning import PhaseSpaceGrid, _x_bins
 from repro.pic.diagnostics import mode_amplitude, mode_spectrum
 from repro.pic.grid import Grid1D
@@ -183,24 +182,20 @@ class TestEscaperWrapProperties:
 
     LENGTH = 2.0 * np.pi / 0.3
 
-    @given(state=_phase_space(LENGTH), dt=st.sampled_from([0.2, 1.0, 0.05]),
-           threaded=st.booleans())
+    @given(state=_phase_space(LENGTH), dt=st.sampled_from([0.2, 1.0, 0.05]))
     @settings(max_examples=150, deadline=None)
-    def test_equals_mod_of_full_push(self, state, dt, threaded):
+    def test_equals_mod_of_full_push(self, state, dt):
         x, v = state
-        backend = ThreadedBackend(max_workers=3) if threaded else None
-        pushed = push_positions(x, v, dt, self.LENGTH, backend=backend)
+        pushed = push_positions(x, v, dt, self.LENGTH)
         expected = np.mod(x + v * dt, self.LENGTH)
         np.testing.assert_array_equal(_bits(pushed), _bits(expected))
         assert pushed.shape == x.shape
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_signed_zero_and_edges(self, threaded):
+    def test_signed_zero_and_edges(self):
         length = self.LENGTH
         x = np.array([[0.0, -0.0, length, np.nextafter(length, 0.0), -0.0, 1.0]] * 2)
         v = np.array([[-0.0, -0.0, 0.0, 0.0, 0.0, -0.0]] * 2)
-        backend = ThreadedBackend(max_workers=2) if threaded else None
-        pushed = push_positions(x, v, 0.2, length, backend=backend)
+        pushed = push_positions(x, v, 0.2, length)
         np.testing.assert_array_equal(_bits(pushed), _bits(np.mod(x + v * 0.2, length)))
         assert not np.signbit(pushed).any()
 

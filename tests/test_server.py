@@ -110,6 +110,41 @@ class TestProtocol:
         assert payload["id"] == f"hole-{field}"
         assert field in payload["error"]
 
+    @pytest.mark.parametrize("backend", ["threaded", "numba"])
+    def test_non_numpy_backend_400_names_the_field(self, server, backend):
+        body = json.dumps({"api_version": "v1", "id": f"be-{backend}",
+                           "config": {**small_config().to_dict(), "backend": backend}})
+        status, data = raw_request(server, "POST", "/v1/run", body.encode())
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert payload["id"] == f"be-{backend}"
+        assert "backend" in payload["error"]
+
+    def test_non_numpy_backend_batch_line_errors_alone(self, server):
+        good = RunRequest(config=small_config(seed=71), id="be-ok")
+        lines = [
+            json.dumps({"api_version": "v1", "id": f"be-{backend}",
+                        "config": {**small_config().to_dict(), "backend": backend}})
+            for backend in ("threaded", "numba")
+        ] + [json.dumps(good.to_dict())]
+        status, data = raw_request(server, "POST", "/v1/batch", "\n".join(lines).encode())
+        assert status == 200
+        results = [json.loads(line) for line in data.decode().splitlines()]
+        assert [r["status"] for r in results] == ["error", "error", "ok"]
+        assert all("backend" in r["error"] for r in results[:2])
+
+    def test_explicit_numpy_backend_served_under_the_default_key(self, server):
+        config = small_config(seed=72)
+        body = json.dumps({"api_version": "v1", "id": "be-numpy",
+                           "config": {**config.to_dict(), "backend": "numpy"}})
+        status, data = raw_request(server, "POST", "/v1/run", body.encode())
+        assert status == 200
+        payload = json.loads(data)
+        assert payload["status"] == "ok"
+        with Client(background=False) as local:
+            assert payload["key"] == local.run(RunRequest(config=config)).key
+
     def test_malformed_request_line_400(self, server):
         with socket.create_connection((server.host, server.port), timeout=30) as s:
             s.sendall(b"BOGUS\r\n\r\n")
@@ -220,6 +255,23 @@ class TestRunEndpoint:
             with pytest.raises(ApiError, match="no-model") as excinfo:
                 client.run(request)
             assert excinfo.value.status == "error"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "updates",
+        [{"solver": "energy", "dt": 1e308}, {"v0": 1e300}, {"vth": 1e300}],
+        ids=["energy-dt", "v0", "vth"],
+    )
+    def test_non_finite_physics_is_a_500_error_and_never_cached(self, server, updates):
+        request = RunRequest(config=small_config(seed=73, **updates), id="diverged")
+        body = json.dumps(request.to_dict()).encode()
+        for _ in range(2):  # the repeat executes again: nothing was stored
+            status, data = raw_request(server, "POST", "/v1/run", body)
+            assert status == 500
+            result = RunResult.from_dict(json.loads(data))
+            assert result.status == "error"
+            assert "non-finite" in result.error
+            assert not result.cache_hit and result.submit_status == "queued"
 
     def test_repeat_request_hits_the_store(self, server):
         request = RunRequest(config=small_config(seed=55), id="cache-me")
