@@ -24,7 +24,7 @@ from conftest import dump_result
 
 from repro.config import SimulationConfig
 from repro.engines import make_engine
-from repro.pic.diagnostics import (
+from repro.engines.observables import (
     field_energy_rows,
     kinetic_energy_rows,
     mode_amplitude_rows,

@@ -12,9 +12,10 @@ Run:  python examples/vlasov_reference.py
 
 import numpy as np
 
+from repro.config import SimulationConfig
 from repro.phasespace import PhaseSpaceGrid
 from repro.theory import fit_growth_rate, growth_rate_cold
-from repro.vlasov import VlasovConfig, VlasovSimulation, harvest_vlasov_dataset
+from repro.vlasov import VlasovConfig, VlasovSimulation, harvest_vlasov_ensemble
 
 
 def main() -> None:
@@ -38,9 +39,10 @@ def main() -> None:
     # Harvest a DL-compatible dataset (expected counts of a 64k-particle PIC).
     ps_grid = PhaseSpaceGrid(n_x=64, n_v=64, box_length=config.box_length,
                              v_min=config.v_min, v_max=config.v_max)
-    harvest_config = VlasovConfig(n_x=64, n_v=128, dt=0.2, n_steps=200,
-                                  v0=0.2, vth=0.025, perturbation=1e-3)
-    data = harvest_vlasov_dataset(harvest_config, ps_grid, n_particles=64_000)
+    harvest_config = SimulationConfig(solver="vlasov", n_cells=64, extra={"n_v": 128},
+                                      dt=0.2, n_steps=200, v0=0.2, vth=0.025,
+                                      perturbation=1e-3)
+    data = harvest_vlasov_ensemble([harvest_config], ps_grid, n_particles=64_000)
     print(f"\nHarvested {len(data)} noise-free training pairs "
           f"({data.inputs.shape[1]}x{data.inputs.shape[2]} expected-count histograms).")
     print("These feed the exact same training pipeline as PIC data — see")

@@ -5,7 +5,6 @@ from repro.datagen.campaign import (
     CampaignConfig,
     dataset_from_result,
     harvest_ensemble,
-    harvest_simulation,
     harvest_via_client,
     run_campaign,
     run_test_set_ii,
@@ -16,7 +15,6 @@ from repro.datagen.stream import (
     CompletedShard,
     ShardSpec,
     campaign_hash,
-    stream_campaign,
 )
 
 __all__ = [
@@ -28,11 +26,9 @@ __all__ = [
     "campaign_hash",
     "dataset_from_result",
     "harvest_ensemble",
-    "harvest_simulation",
     "harvest_via_client",
     "run_campaign",
     "run_test_set_ii",
-    "stream_campaign",
     "fast_campaign",
     "medium_campaign",
     "paper_campaign",

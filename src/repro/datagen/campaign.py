@@ -4,35 +4,36 @@ Section IV-A1 of the paper: 20 combinations of ``(v0, vth)``, 10
 seeded "experiments" per combination (data augmentation), 200 steps
 per run, one (histogram, field) pair per step — 40,000 pairs total.
 
-The runs are embarrassingly parallel.  The serial path submits them as
-public-API run requests — each config becomes a
+There is one production harvest: every run becomes a public-API
 :class:`~repro.api.RunRequest` selecting the ``training_pairs`` +
-``fields`` observables, and a synchronous :class:`~repro.api.Client`
-micro-batches compatible requests into vectorized ensembles (chunked
-by a total-particle budget), which amortizes the per-step interpreter
-and FFT overhead across the whole sweep while producing bit-for-bit
-the same dataset as the per-run ``harvest_simulation``.
-``run_campaign`` can still fan runs out over a ``multiprocessing``
-pool (the closest stand-in for the paper's HPC batch generation that
-works on one node); both paths agree exactly.
+``fields`` observables (:func:`harvest_requests`), a
+:class:`~repro.api.Client` micro-batches compatible requests into
+vectorized ensembles of :func:`ensemble_batch_size` runs (optionally
+sharded over spawned executor workers), and :func:`dataset_from_result`
+assembles each served result.  :func:`run_campaign`,
+:func:`run_test_set_ii`, :func:`harvest_via_client` and the streaming
+:class:`~repro.datagen.stream.CampaignStream` all take that path.
+:func:`harvest_ensemble` steps one batched engine directly and is the
+in-memory reference the served path is checked against, bitwise.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.datagen.dataset import FieldDataset
 from repro.engines.base import make_engine
-from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space, bin_phase_space_batch
-from repro.pic.simulation import TraditionalPIC
+from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.utils.rng import spawn_seeds
 
-# The serial path batches runs into ensembles of at most this many
+if TYPE_CHECKING:
+    from repro.api.envelope import RunRequest
+
+# Harvests batch runs into ensembles of at most this many
 # macro-particles so the stacked (batch, n) state stays cache- and
 # memory-friendly even for the paper-scale 200-run campaign.
 _ENSEMBLE_PARTICLE_BUDGET = 8_000_000
@@ -122,52 +123,6 @@ class CampaignConfig:
         }
 
 
-def harvest_simulation(
-    config: SimulationConfig,
-    ps_grid: PhaseSpaceGrid,
-    binning: str = "ngp",
-    include_initial_state: bool = True,
-) -> FieldDataset:
-    """Run one traditional PIC simulation and harvest training pairs.
-
-    Pairs mirror exactly what the DL solver sees at runtime: the
-    histogram is binned from the *current* particle state (positions at
-    integer time, velocities at the trailing half step) and the target
-    is the field the traditional solver produced for that state.
-    """
-    sim = TraditionalPIC(config)
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    steps: list[int] = []
-
-    if include_initial_state:
-        # At t=0 velocities are still at integer time, matching how the
-        # DL-PIC computes its very first field.
-        hist0 = bin_phase_space(sim.particles.x, sim.v_at_integer_time, ps_grid, order=binning)
-        inputs.append(hist0)
-        targets.append(sim.efield.copy())
-        steps.append(0)
-
-    def collect(s: TraditionalPIC) -> None:
-        inputs.append(bin_phase_space(s.particles.x, s.particles.v, ps_grid, order=binning))
-        targets.append(s.efield.copy())
-        steps.append(s.step_index)
-
-    sim.run(config.n_steps, callback=collect)
-    n = len(inputs)
-    params = np.column_stack(
-        [
-            np.full(n, config.v0),
-            np.full(n, config.vth),
-            np.full(n, float(config.seed)),
-            np.asarray(steps, dtype=np.float64),
-        ]
-    )
-    return FieldDataset(
-        inputs=np.stack(inputs), targets=np.stack(targets), params=params, ps_grid=ps_grid
-    )
-
-
 def harvest_ensemble(
     configs: Sequence[SimulationConfig],
     ps_grid: PhaseSpaceGrid,
@@ -178,11 +133,11 @@ def harvest_ensemble(
 
     All ``configs`` advance together as a single batched traditional
     engine from the registry (``repro.engines``) — one
-    gather/push/deposit/Poisson call per step for the whole batch.  The
-    harvested pairs are identical (bitwise) to running
-    :func:`harvest_simulation` per config, and are returned in the same
-    run-major order (all pairs of run 0, then all pairs of run 1, ...),
-    so the vectorized and per-run paths are interchangeable.
+    gather/push/deposit/Poisson call per step for the whole batch.
+    Pairs come back in run-major order (all pairs of run 0, then all
+    pairs of run 1, ...) and are bitwise identical whatever the batch
+    composition, so ``harvest_ensemble([cfg])`` is the per-run
+    reference.  This is the in-memory oracle of the served harvest.
     """
     configs = list(configs)
     if not configs:
@@ -237,15 +192,27 @@ def harvest_ensemble(
     return FieldDataset.concatenate(parts)
 
 
-def _worker(args: tuple) -> FieldDataset:
-    """Picklable worker for the multiprocessing pool."""
-    config, ps_grid, binning, include_initial = args
-    return harvest_simulation(config, ps_grid, binning, include_initial)
+def ensemble_batch_size(campaign: CampaignConfig, workers: int = 1) -> int:
+    """Runs per vectorized ensemble of a campaign served by ``workers``.
+
+    At most the particle budget over one run, and small enough that
+    the sweep splits into at least ``workers`` ensembles, so every
+    executor worker gets one.
+    """
+    budget = max(1, _ENSEMBLE_PARTICLE_BUDGET // campaign.base_config.n_particles)
+    return min(budget, -(-campaign.n_simulations // workers))
 
 
-def _harvest_observables(ps_grid: PhaseSpaceGrid, binning: str) -> "list[object]":
-    """The v1 observables selection producing (histogram, field) pairs."""
-    return [
+def harvest_requests(
+    configs: Sequence[SimulationConfig],
+    ps_grid: PhaseSpaceGrid,
+    binning: str,
+    id_prefix: str = "harvest-",
+) -> "list[RunRequest]":
+    """One traditional run request per config producing (histogram, field) pairs."""
+    from repro.api.envelope import RunRequest
+
+    selection = [
         {
             "name": "training_pairs",
             "n_x": ps_grid.n_x, "n_v": ps_grid.n_v,
@@ -253,6 +220,14 @@ def _harvest_observables(ps_grid: PhaseSpaceGrid, binning: str) -> "list[object]
             "box_length": ps_grid.box_length, "order": binning,
         },
         "fields",
+    ]
+    return [
+        RunRequest(
+            config=cfg.with_updates(solver="traditional"),
+            id=f"{id_prefix}{i}",
+            observables=selection,
+        )
+        for i, cfg in enumerate(configs)
     ]
 
 
@@ -267,10 +242,9 @@ def dataset_from_result(
     ``result`` is any object with a ``series`` mapping holding the
     ``training_pairs`` observables output (``histograms`` + ``fields``)
     — a :class:`~repro.api.RunResult` or a service-layer result.  The
-    one assembly path shared by the materializing harvest
-    (:func:`harvest_via_client`) and the streaming campaign
-    (:mod:`repro.datagen.stream`), so the two are bitwise
-    interchangeable by construction.
+    one assembly path shared by the materializing harvests and the
+    streaming campaign (:mod:`repro.datagen.stream`), so the two are
+    bitwise interchangeable by construction.
     """
     first = 0 if include_initial_state else 1
     hists = np.asarray(result.series["histograms"])[first:]
@@ -287,6 +261,35 @@ def dataset_from_result(
     return FieldDataset(inputs=hists, targets=fields, params=params, ps_grid=ps_grid)
 
 
+def _harvest(
+    configs: Sequence[SimulationConfig],
+    ps_grid: PhaseSpaceGrid,
+    binning: str,
+    include_initial_state: bool,
+    max_batch_size: int,
+    workers: int = 1,
+) -> FieldDataset:
+    """Serve every config through an owned synchronous client, in order."""
+    from repro.api import Client
+    from repro.service.store import ResultStore
+
+    configs = list(configs)
+    if not configs:
+        raise ValueError("ensemble harvest needs at least one configuration")
+    # Campaign outputs are huge and single-use: the store is disabled.
+    with Client(
+        background=False,
+        max_batch_size=max_batch_size,
+        store=ResultStore(capacity=0),
+        workers=workers,
+    ) as client:
+        results = client.map(harvest_requests(configs, ps_grid, binning))
+    return FieldDataset.concatenate([
+        dataset_from_result(cfg, result, ps_grid, include_initial_state)
+        for cfg, result in zip(configs, results)
+    ])
+
+
 def harvest_via_client(
     configs: Sequence[SimulationConfig],
     ps_grid: PhaseSpaceGrid,
@@ -296,78 +299,35 @@ def harvest_via_client(
 ) -> FieldDataset:
     """Harvest training pairs through the public API.
 
-    Each config is one :class:`~repro.api.RunRequest` selecting the
-    ``training_pairs`` and ``fields`` observables; a synchronous
+    Each config is one :class:`~repro.api.RunRequest`; a synchronous
     :class:`~repro.api.Client` coalesces compatible requests into
-    ensembles of up to ``max_batch_size``.  The pairs are bitwise
-    identical to :func:`harvest_simulation` per config (the batched
-    binning preserves per-row bit patterns) and returned in request
-    order, so this path, the per-run path and the pool path are all
-    interchangeable.  Results are streamed straight into the dataset —
-    the client's store is disabled (campaign outputs are huge and
-    single-use).
+    ensembles of up to ``max_batch_size``.  The pairs come back in
+    request order, bitwise identical to :func:`harvest_ensemble`.
     """
-    from repro.api import Client, RunRequest
-    from repro.service.store import ResultStore
-
-    configs = list(configs)
-    if not configs:
-        raise ValueError("ensemble harvest needs at least one configuration")
-    selection = _harvest_observables(ps_grid, binning)
-    requests = [
-        RunRequest(
-            config=cfg.with_updates(solver="traditional"),
-            id=f"harvest-{i}",
-            observables=selection,
-        )
-        for i, cfg in enumerate(configs)
-    ]
-    with Client(
-        background=False,
-        max_batch_size=max_batch_size,
-        store=ResultStore(capacity=0),
-    ) as client:
-        results = client.map(requests)
-
-    parts = [
-        dataset_from_result(cfg, result, ps_grid, include_initial_state)
-        for cfg, result in zip(configs, results)
-    ]
-    return FieldDataset.concatenate(parts)
+    return _harvest(configs, ps_grid, binning, include_initial_state, max_batch_size)
 
 
 def run_campaign(campaign: CampaignConfig, n_workers: int = 1) -> FieldDataset:
     """Execute the whole sweep and concatenate the harvested pairs.
 
-    The serial path (``n_workers == 1``) submits every run through the
-    public API (:func:`harvest_via_client`): the client's micro-batcher
-    groups them into vectorized ensembles chunked by a total-particle
-    budget.  ``n_workers > 1`` distributes individual simulations over
-    a process pool instead.  Both paths are deterministic and bitwise
-    identical because the per-run seeds are fixed by
-    :meth:`CampaignConfig.simulation_specs`, results are ordered in
-    spec order, and the batched kernels reproduce single runs exactly.
+    Every run goes through the public API in ensembles of
+    :func:`ensemble_batch_size` runs; ``n_workers > 1`` shards those
+    ensembles over that many spawned executor processes.  The result is
+    deterministic and bitwise independent of ``n_workers``: the per-run
+    seeds are fixed by :meth:`CampaignConfig.simulation_specs`, results
+    come back in spec order, and the batched kernels reproduce single
+    runs exactly.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    run_configs = campaign.run_configs()
-    if n_workers == 1:
-        chunk = max(1, _ENSEMBLE_PARTICLE_BUDGET // campaign.base_config.n_particles)
-        return harvest_via_client(
-            run_configs,
-            campaign.ps_grid,
-            campaign.binning,
-            campaign.include_initial_state,
-            max_batch_size=chunk,
-        )
-    else:
-        jobs = [
-            (cfg, campaign.ps_grid, campaign.binning, campaign.include_initial_state)
-            for cfg in run_configs
-        ]
-        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-            results = pool.map(_worker, jobs)
-    return FieldDataset.concatenate(results)
+    return _harvest(
+        campaign.run_configs(),
+        campaign.ps_grid,
+        campaign.binning,
+        campaign.include_initial_state,
+        ensemble_batch_size(campaign, n_workers),
+        workers=n_workers,
+    )
 
 
 def run_test_set_ii(

@@ -1,17 +1,18 @@
 """Streaming data campaigns: bounded-memory, sharded, resumable.
 
-:class:`CampaignStream` rebuilds the materializing harvest of
+:class:`CampaignStream` runs the one served harvest of
 ``repro.datagen.campaign`` as a producer/consumer pipeline:
 
-* the **producer** submits each shard's runs as public-API
-  :class:`~repro.api.RunRequest` batches through a background
-  :class:`~repro.api.Client` (so micro-batching, the executor pool and
-  the result store all apply), keeping at most ``prefetch_depth``
-  shards in flight;
+* the **producer** submits each shard's runs
+  (:func:`~repro.datagen.campaign.harvest_requests`) through a
+  background :class:`~repro.api.Client` (so micro-batching, the
+  executor pool and the result store all apply), keeping at most
+  ``prefetch_depth`` shards in flight;
 * the **consumer** iterates completed shards head-of-line: each shard's
   results are assembled into a :class:`FieldDataset` via the same
-  :func:`~repro.datagen.campaign.dataset_from_result` path the
-  materializing harvest uses (bitwise interchangeable by construction),
+  :func:`~repro.datagen.campaign.dataset_from_result` path
+  :func:`~repro.datagen.campaign.run_campaign` uses (bitwise
+  interchangeable by construction),
   written to ``shard-00042.npz`` through a temp file + ``os.replace``,
   content-hashed, recorded in the ``manifest.json`` and yielded.
 
@@ -39,9 +40,9 @@ from typing import TYPE_CHECKING, Iterator
 from repro.config import SimulationConfig
 from repro.datagen.campaign import (
     CampaignConfig,
-    _ENSEMBLE_PARTICLE_BUDGET,
-    _harvest_observables,
     dataset_from_result,
+    ensemble_batch_size,
+    harvest_requests,
 )
 from repro.datagen.dataset import FieldDataset
 from repro.obs.metrics import record_campaign_shard
@@ -75,6 +76,18 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _valid_entry(entry: object) -> bool:
+    """Whether a manifest shard entry has the shape ``_write_shard`` gives it."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("sha256"), str)
+        and all(
+            type(entry.get(key)) is int and entry[key] >= 0
+            for key in ("n_runs", "n_samples")
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -143,9 +156,10 @@ class CampaignStream:
         Executor parallelism of the owned client (``N > 1`` shards
         compatibility groups across spawned worker processes).
     max_batch_size:
-        Micro-batch bound of the owned client; defaults to the
-        campaign's particle-budget chunk (the materializing harvest's
-        ensembles), capped at ``shard_size``.
+        Micro-batch bound of the owned client; defaults to
+        :func:`~repro.datagen.campaign.ensemble_batch_size` for the
+        campaign and ``workers`` (the ensembles of ``run_campaign``),
+        capped at ``shard_size``.
     resume:
         Verify and adopt durable shards from an existing manifest
         (default).  ``resume=False`` ignores (and overwrites) any
@@ -181,10 +195,7 @@ class CampaignStream:
         self._owns_client = client is None
         self._workers = workers
         if max_batch_size is None:
-            chunk = max(
-                1, _ENSEMBLE_PARTICLE_BUDGET // campaign.base_config.n_particles
-            )
-            max_batch_size = min(shard_size, chunk)
+            max_batch_size = min(shard_size, ensemble_batch_size(campaign, workers))
         self._max_batch_size = max_batch_size
         self.campaign_hash = campaign_hash(campaign, shard_size)
         self.stats = {
@@ -217,15 +228,19 @@ class CampaignStream:
         return self.out_dir / MANIFEST_NAME
 
     def _load_manifest(self) -> dict:
-        """Read (or initialize) the manifest, checking campaign identity."""
+        """Read (or initialize) the manifest, checking campaign identity.
+
+        The manifest is untrusted input: any shape other than an object
+        whose ``shards`` maps to ``{"sha256": str, "n_runs": int,
+        "n_samples": int}`` objects is rejected as unreadable.
+        """
         if self.resume and self.manifest_path.exists():
             try:
                 manifest = json.loads(self.manifest_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValueError(
-                    f"unreadable campaign manifest {self.manifest_path}: {exc}; "
-                    f"pass resume=False to start over"
-                ) from None
+            except (OSError, ValueError) as exc:
+                raise self._unreadable(exc) from None
+            if not isinstance(manifest, dict):
+                raise self._unreadable(f"expected an object, got {type(manifest).__name__}")
             found = manifest.get("campaign_hash")
             if found != self.campaign_hash:
                 raise ValueError(
@@ -233,7 +248,12 @@ class CampaignStream:
                     f"(hash {str(found)[:12]}... != {self.campaign_hash[:12]}...); "
                     f"use a fresh out_dir or pass resume=False to overwrite"
                 )
-            manifest.setdefault("shards", {})
+            shards = manifest.setdefault("shards", {})
+            if not isinstance(shards, dict):
+                raise self._unreadable(f"'shards' is a {type(shards).__name__}")
+            for key, entry in shards.items():
+                if not _valid_entry(entry):
+                    raise self._unreadable(f"malformed shard entry {key!r}: {entry!r}")
             return manifest
         return {
             "version": MANIFEST_VERSION,
@@ -243,6 +263,12 @@ class CampaignStream:
             "n_shards": len(self.plan()),
             "shards": {},
         }
+
+    def _unreadable(self, reason: object) -> ValueError:
+        return ValueError(
+            f"unreadable campaign manifest {self.manifest_path}: {reason}; "
+            f"pass resume=False to start over"
+        )
 
     def _write_manifest(self, manifest: dict) -> None:
         """Atomically replace the manifest (temp file + ``os.replace``)."""
@@ -262,15 +288,17 @@ class CampaignStream:
         entry = manifest["shards"].get(str(spec.index))
         if entry is None:
             return None
-        path = self.out_dir / entry.get("file", spec.filename)
-        if not path.exists() or _sha256_file(path) != entry.get("sha256"):
+        # The path comes from the plan, never from the manifest, so a
+        # manifest cannot point the stream at a file outside out_dir.
+        path = self.out_dir / spec.filename
+        if not path.exists() or _sha256_file(path) != entry["sha256"]:
             return None  # truncated, corrupt or deleted — re-request
         return CompletedShard(
             index=spec.index,
             path=path,
             sha256=entry["sha256"],
-            n_runs=int(entry.get("n_runs", spec.n_runs)),
-            n_samples=int(entry.get("n_samples", 0)),
+            n_runs=spec.n_runs,
+            n_samples=entry["n_samples"],
             status="verified",
         )
 
@@ -292,19 +320,13 @@ class CampaignStream:
 
     def _submit_shard(self, client: "Client", spec: ShardSpec) -> list:
         """File one shard's run requests (does not wait)."""
-        from repro.api.envelope import RunRequest
-
-        selection = _harvest_observables(self.campaign.ps_grid, self.campaign.binning)
-        futures = [
-            client.submit(
-                RunRequest(
-                    config=cfg.with_updates(solver="traditional"),
-                    id=f"campaign-{spec.index:05d}-{row}",
-                    observables=selection,
-                )
-            )
-            for row, cfg in enumerate(spec.configs)
-        ]
+        requests = harvest_requests(
+            spec.configs,
+            self.campaign.ps_grid,
+            self.campaign.binning,
+            id_prefix=f"campaign-{spec.index:05d}-",
+        )
+        futures = [client.submit(request) for request in requests]
         self.stats["inflight_runs"] += spec.n_runs
         self.stats["max_inflight_runs"] = max(
             self.stats["max_inflight_runs"], self.stats["inflight_runs"]
@@ -452,12 +474,3 @@ class CampaignStream:
             "n_runs": self.campaign.n_simulations,
             "complete": intact == len(plan),
         }
-
-
-def stream_campaign(
-    campaign: CampaignConfig,
-    out_dir: "str | os.PathLike[str]",
-    **kwargs: object,
-) -> CampaignStream:
-    """Build a :class:`CampaignStream` (keyword args forwarded)."""
-    return CampaignStream(campaign, out_dir, **kwargs)

@@ -156,7 +156,6 @@ class Engine(Protocol):
         self,
         n_steps: "int | None" = None,
         history: "Observables | None" = None,
-        callback: "Callable | None" = None,
     ) -> "Observables":
         """Run ``n_steps`` cycles, recording observables each step."""
         ...
@@ -170,7 +169,6 @@ def run_ensemble(
     engine,
     n_steps: "int | None" = None,
     history: "Observables | None" = None,
-    callback: "Callable | None" = None,
 ) -> "Observables":
     """The batched engines' shared ``run`` (bound as a method).
 
@@ -178,8 +176,7 @@ def run_ensemble(
     ``config.n_steps``; members that disagree must pass it explicitly),
     recording the initial state and every step into ``history`` (a fresh
     ``engine.observables()`` by default), so a run yields
-    ``n_steps + 1`` records of ``(batch,)`` vectors.  ``callback(engine)``
-    fires after every step (the data campaigns harvest through it).
+    ``n_steps + 1`` records of ``(batch,)`` vectors.
     """
     if n_steps is None:
         if any(cfg.n_steps != engine.config.n_steps for cfg in engine.configs):
@@ -196,8 +193,6 @@ def run_ensemble(
     for _ in range(n_steps):
         engine.step()
         engine._record(hist)
-        if callback is not None:
-            callback(engine)
     return hist
 
 

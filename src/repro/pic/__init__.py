@@ -10,7 +10,7 @@ from repro.pic.particles import ParticleSet, load_two_stream
 from repro.pic.interpolation import deposit, gather
 from repro.pic.poisson import PoissonSolver, electric_field_from_potential
 from repro.pic.mover import push_positions, push_velocities
-from repro.pic.diagnostics import (
+from repro.engines.observables import (
     field_energy,
     kinetic_energy,
     mode_amplitude,

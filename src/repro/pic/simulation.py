@@ -24,7 +24,7 @@ normalizes and network-evaluates a whole ensemble per step
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -394,13 +394,11 @@ class PICSimulation:
         self,
         n_steps: "int | None" = None,
         history: "Observables | None" = None,
-        callback: "Callable[[PICSimulation], None] | None" = None,
     ) -> Observables:
         """Run ``n_steps`` cycles, recording diagnostics at every step.
 
         The history includes the initial state, so it holds
-        ``n_steps + 1`` entries.  ``callback`` fires after every step
-        (used by the dataset campaign to harvest training pairs).
+        ``n_steps + 1`` entries.
         """
         n = self.config.n_steps if n_steps is None else n_steps
         if n < 0:
@@ -411,8 +409,6 @@ class PICSimulation:
         for _ in range(n):
             self.step()
             self._record(hist)
-            if callback is not None:
-                callback(self)
         return hist
 
 

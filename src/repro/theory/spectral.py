@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pic.diagnostics import mode_spectrum
+from repro.engines.observables import mode_spectrum
 
 
 @dataclass(frozen=True)

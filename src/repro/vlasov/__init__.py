@@ -4,17 +4,15 @@ The paper's Sec. VII: "more accurate training data sets can be obtained
 by running Vlasov codes that are not affected by the PIC numerical
 noise."  This subpackage implements that future-work item: a
 semi-Lagrangian (Cheng-Knorr split) Vlasov-Poisson solver on a fixed
-phase-space grid, plus a harvester producing :class:`FieldDataset`
-training pairs compatible with the DL solver pipeline.
+phase-space grid, its batch-native :class:`VlasovEnsemble` engine, and
+:func:`harvest_vlasov_ensemble`, which harvests ``solver="vlasov"``
+runs into :class:`FieldDataset` training pairs compatible with the DL
+solver pipeline.
 """
 
 from repro.vlasov.solver import VlasovConfig, VlasovSimulation, two_stream_distribution
 from repro.vlasov.ensemble import VlasovEnsemble, vlasov_config_from
-from repro.vlasov.harvest import (
-    expected_counts,
-    harvest_vlasov_dataset,
-    harvest_vlasov_ensemble,
-)
+from repro.vlasov.harvest import expected_counts, harvest_vlasov_ensemble
 
 __all__ = [
     "VlasovConfig",
@@ -23,6 +21,5 @@ __all__ = [
     "vlasov_config_from",
     "two_stream_distribution",
     "expected_counts",
-    "harvest_vlasov_dataset",
     "harvest_vlasov_ensemble",
 ]

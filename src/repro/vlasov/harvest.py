@@ -5,6 +5,9 @@ is a smooth density.  ``expected_counts`` converts the distribution to
 the expected NGP histogram a PIC run with ``n_particles`` macro
 particles would produce, so Vlasov-generated pairs slot into the same
 training pipeline (the paper's proposed noise-free data source).
+:func:`harvest_vlasov_ensemble` is the one harvest: it takes
+``solver="vlasov"`` :class:`~repro.config.SimulationConfig` runs (a
+single run is a batch of one).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from repro.datagen.dataset import FieldDataset
 from repro.phasespace.binning import PhaseSpaceGrid
-from repro.vlasov.solver import VlasovConfig, VlasovSimulation
+from repro.vlasov.solver import VlasovConfig
 
 if TYPE_CHECKING:
     from repro.config import SimulationConfig
@@ -58,48 +61,6 @@ def expected_counts(
     cell_mass = np.asarray(f, dtype=np.float64) * config.dx * config.dv
     coarse = _coarsen(cell_mass, config.n_v // ps_grid.n_v, config.n_x // ps_grid.n_x)
     return coarse * (n_particles / config.box_length)
-
-
-def harvest_vlasov_dataset(
-    config: VlasovConfig,
-    ps_grid: PhaseSpaceGrid,
-    n_particles: int,
-    n_steps: "int | None" = None,
-    stride: int = 1,
-) -> FieldDataset:
-    """Run a Vlasov simulation and emit (expected-count, field) pairs.
-
-    ``stride`` keeps every ``stride``-th step (Vlasov runs typically use
-    smaller time steps than the PIC campaign).
-    """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    sim = VlasovSimulation(config)
-    n = config.n_steps if n_steps is None else n_steps
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    steps: list[int] = []
-    inputs.append(expected_counts(sim.f, config, ps_grid, n_particles))
-    targets.append(sim.efield.copy())
-    steps.append(0)
-    for i in range(1, n + 1):
-        sim.step()
-        if i % stride == 0:
-            inputs.append(expected_counts(sim.f, config, ps_grid, n_particles))
-            targets.append(sim.efield.copy())
-            steps.append(i)
-    n_kept = len(inputs)
-    params = np.column_stack(
-        [
-            np.full(n_kept, config.v0),
-            np.full(n_kept, config.vth),
-            np.full(n_kept, -1.0),  # seed sentinel: deterministic Vlasov run
-            np.asarray(steps, dtype=np.float64),
-        ]
-    )
-    return FieldDataset(
-        inputs=np.stack(inputs), targets=np.stack(targets), params=params, ps_grid=ps_grid
-    )
 
 
 def harvest_vlasov_ensemble(

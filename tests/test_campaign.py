@@ -6,10 +6,11 @@ import pytest
 from repro.config import SimulationConfig
 from repro.datagen.campaign import (
     CampaignConfig,
-    harvest_simulation,
+    harvest_ensemble,
     run_campaign,
     run_test_set_ii,
 )
+from repro.datagen.dataset import FieldDataset
 from repro.phasespace.binning import PhaseSpaceGrid
 
 
@@ -78,14 +79,14 @@ class TestHarvest:
     def test_shapes(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=5, seed=1)
         grid = PhaseSpaceGrid(n_x=8, n_v=4)
-        data = harvest_simulation(cfg, grid)
+        data = harvest_ensemble([cfg], grid)
         assert data.inputs.shape == (6, 4, 8)
         assert data.targets.shape == (6, 16)
         assert data.params.shape == (6, 4)
 
     def test_histogram_mass_is_particle_count(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=3, seed=2)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_ensemble([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         np.testing.assert_allclose(data.inputs.sum(axis=(1, 2)), cfg.n_particles)
 
     def test_targets_match_traditional_fields(self):
@@ -94,7 +95,7 @@ class TestHarvest:
         from repro.pic.simulation import TraditionalPIC
 
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=4, seed=3)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_ensemble([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         sim = TraditionalPIC(cfg)
         hist = sim.run(4, history=Observables(pic_observables(record_fields=True),
                                               squeeze=True))
@@ -104,7 +105,7 @@ class TestHarvest:
         cfg = SimulationConfig(
             n_cells=16, particles_per_cell=20, n_steps=3, v0=0.17, vth=0.003, seed=5
         )
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_ensemble([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         assert np.all(data.params[:, 0] == 0.17)
         assert np.all(data.params[:, 1] == 0.003)
         assert np.all(data.params[:, 2] == 5.0)
@@ -112,7 +113,7 @@ class TestHarvest:
 
     def test_without_initial_state(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=3, seed=1)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4), include_initial_state=False)
+        data = harvest_ensemble([cfg], PhaseSpaceGrid(n_x=8, n_v=4), include_initial_state=False)
         assert len(data) == 3
         assert data.params[0, 3] == 1.0
 
@@ -133,8 +134,7 @@ class TestRunCampaign:
         c = _campaign()
         serial = run_campaign(c, n_workers=1)
         parallel = run_campaign(c, n_workers=2)
-        np.testing.assert_array_equal(serial.inputs, parallel.inputs)
-        np.testing.assert_array_equal(serial.targets, parallel.targets)
+        assert_bitwise_equal(serial, parallel)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -144,6 +144,32 @@ class TestRunCampaign:
         data = run_campaign(_campaign())
         combos = {(v0, vth) for v0, vth in zip(data.params[:, 0], data.params[:, 1])}
         assert len(combos) == 4
+
+
+def assert_bitwise_equal(a: FieldDataset, b: FieldDataset) -> None:
+    for name in ("inputs", "targets", "params"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+class TestHarvestOracle:
+    """Every harvest agrees bitwise with the batched in-memory reference."""
+
+    @pytest.mark.parametrize("include_initial_state", [True, False])
+    @pytest.mark.parametrize("binning", ["ngp", "cic"])
+    def test_all_paths_bitwise_equal(self, binning, include_initial_state):
+        c = _campaign(binning=binning, include_initial_state=include_initial_state)
+        configs = c.run_configs()
+        reference = harvest_ensemble(configs, c.ps_grid, binning, include_initial_state)
+        assert len(reference) == c.n_samples
+        per_run = FieldDataset.concatenate([
+            harvest_ensemble([cfg], c.ps_grid, binning, include_initial_state)
+            for cfg in configs
+        ])
+        assert_bitwise_equal(per_run, reference)
+        assert_bitwise_equal(run_campaign(c), reference)
+        assert_bitwise_equal(run_campaign(c, n_workers=2), reference)
 
 
 class TestTestSetII:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.engines.observables import Frame, Observables, pic_observables
-from repro.pic.diagnostics import (
+from repro.engines.observables import (
+    Frame,
+    Observables,
     field_energy,
     kinetic_energy,
     mode_amplitude,
     mode_spectrum,
+    pic_observables,
     total_momentum,
 )
 from repro.pic.grid import Grid1D
@@ -145,16 +147,3 @@ class TestSqueezedObservables:
                v_center=np.array([1.0, 1.0]))
         assert hist["kinetic"][0] == pytest.approx(1.0)
         assert hist["momentum"][0] == pytest.approx(2.0)
-
-
-class TestRetiredShims:
-    def test_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="Observables"):
-            from repro.pic.diagnostics import History  # noqa: F401
-
-    def test_ensemble_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="pic_observables"):
-            from repro.pic.diagnostics import EnsembleHistory  # noqa: F401
-
-    def test_measurement_functions_still_importable(self):
-        from repro.pic.diagnostics import kinetic_energy_rows  # noqa: F401

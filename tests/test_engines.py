@@ -311,15 +311,7 @@ class TestObservablesPipeline:
 
 
 class TestRetiredShims:
-    """History/EnsembleHistory are gone; the error says what to use."""
-
-    def test_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="Observables"):
-            from repro.pic.diagnostics import History  # noqa: F401
-
-    def test_ensemble_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="RunResult"):
-            from repro.pic.diagnostics import EnsembleHistory  # noqa: F401
+    """The ``Observables`` recorders that replaced History/EnsembleHistory."""
 
     def test_single_run_recorder_replacement(self, config):
         sim = TraditionalPIC(config)

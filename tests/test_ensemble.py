@@ -183,12 +183,6 @@ class TestEnsembleRun:
             sim.run()
         sim.run(2)  # explicit n_steps is always fine
 
-    def test_callback_fires_each_step(self, config):
-        sim = EnsembleSimulation.from_config(config, batch=2)
-        steps = []
-        sim.run(3, callback=lambda s: steps.append(s.step_index))
-        assert steps == [1, 2, 3]
-
 
 class TestLiftedSolver:
     def test_single_run_solver_drives_ensemble(self, config):

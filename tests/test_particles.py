@@ -130,7 +130,7 @@ class TestQuietLoading:
         assert np.abs(rho_quiet).max() < 0.01 * np.abs(rho_noisy).max()
 
     def test_perturbation_seeds_requested_mode(self):
-        from repro.pic.diagnostics import mode_spectrum
+        from repro.engines.observables import mode_spectrum
         from repro.pic.grid import Grid1D
         from repro.pic.interpolation import charge_density
 

@@ -105,7 +105,7 @@ class TestInterpolationOrderAblation:
     def test_higher_order_suppresses_high_k_deposit_noise(self):
         """TSC deposits are smoother than NGP: the upper half of the
         charge-density spectrum carries much less shot noise."""
-        from repro.pic.diagnostics import mode_spectrum
+        from repro.engines.observables import mode_spectrum
 
         high_k_noise = {}
         for order in ("ngp", "cic", "tsc"):

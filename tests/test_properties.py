@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phasespace.binning import PhaseSpaceGrid, _x_bins
-from repro.pic.diagnostics import mode_amplitude, mode_spectrum
+from repro.engines.observables import mode_amplitude, mode_spectrum
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
 from repro.pic.mover import push_positions

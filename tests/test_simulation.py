@@ -69,12 +69,6 @@ class TestStepping:
         hist = TraditionalPIC(config).run()
         assert len(hist) == config.n_steps + 1
 
-    def test_callback_fires_each_step(self, config):
-        sim = TraditionalPIC(config)
-        calls = []
-        sim.run(4, callback=lambda s: calls.append(s.step_index))
-        assert calls == [1, 2, 3, 4]
-
     def test_positions_stay_in_box(self, config):
         sim = TraditionalPIC(config)
         sim.run(10)

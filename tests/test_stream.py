@@ -1,10 +1,17 @@
 """Streaming campaign pipeline: parity, resume, repair, memory bound."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.datagen.stream as stream_module
+from repro.api import Client
 from repro.config import SimulationConfig
 from repro.datagen import (
     CampaignConfig,
@@ -15,6 +22,7 @@ from repro.datagen import (
 )
 from repro.obs.metrics import campaign_snapshot, reset_metrics
 from repro.phasespace.binning import PhaseSpaceGrid
+from repro.service.store import ResultStore
 
 
 def tiny_campaign(**overrides) -> CampaignConfig:
@@ -154,6 +162,169 @@ class TestResume:
         assert stream.stats["shards_executed"] == 2
         assert stream.stats["shards_verified"] == 0
         assert_bitwise_equal(data, reference)
+
+
+def _write_manifest(out_dir: Path, manifest: object) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _guard_hashing(monkeypatch, out_dir: Path) -> "list[Path]":
+    """Record every file the stream hashes; each must lie in ``out_dir``."""
+    opened: "list[Path]" = []
+    real = stream_module._sha256_file
+
+    def guarded(path):
+        opened.append(Path(path))
+        assert Path(path).resolve().parent == out_dir.resolve(), path
+        return real(path)
+
+    monkeypatch.setattr(stream_module, "_sha256_file", guarded)
+    return opened
+
+
+def _assert_unreadable(stream: CampaignStream) -> None:
+    for action in (stream.run, stream.status):
+        with pytest.raises(ValueError, match="unreadable campaign manifest"):
+            action()
+
+
+class TestUntrustedManifest:
+    """A malformed manifest is a clean ValueError; its paths are never used."""
+
+    @pytest.mark.parametrize("manifest", [
+        [1, 2, 3],
+        "shards",
+        None,
+    ], ids=["list", "string", "null"])
+    def test_non_object_manifest_rejected(self, campaign, tmp_path, manifest):
+        out = tmp_path / "c"
+        _write_manifest(out, manifest)
+        stream = CampaignStream(campaign, out, shard_size=2)
+        _assert_unreadable(stream)
+
+    def _manifest(self, stream, shards):
+        return {"campaign_hash": stream.campaign_hash, "shards": shards}
+
+    def test_shards_list_rejected(self, campaign, tmp_path):
+        stream = CampaignStream(campaign, tmp_path / "c", shard_size=2)
+        _write_manifest(stream.out_dir, self._manifest(stream, [{"sha256": "x"}]))
+        _assert_unreadable(stream)
+
+    def test_int_shard_entry_rejected(self, campaign, tmp_path):
+        stream = CampaignStream(campaign, tmp_path / "c", shard_size=2)
+        _write_manifest(stream.out_dir, self._manifest(stream, {"0": 5}))
+        _assert_unreadable(stream)
+
+    def test_non_integer_n_runs_rejected(self, campaign, tmp_path):
+        stream = CampaignStream(campaign, tmp_path / "c", shard_size=2)
+        stream.run()
+        manifest = json.loads(stream.manifest_path.read_text())
+        manifest["shards"]["0"]["n_runs"] = "x"
+        _write_manifest(stream.out_dir, manifest)
+        _assert_unreadable(stream)
+
+    def test_shard_file_outside_out_dir_never_opened(
+        self, campaign, reference, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "c"
+        CampaignStream(campaign, out, shard_size=2).run()
+        # A manifest naming a hash-valid shard file outside out_dir.
+        outside = tmp_path / "outside.npz"
+        shutil.move(out / "shard-00000.npz", outside)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["shards"]["0"]["file"] = "../outside.npz"
+        _write_manifest(out, manifest)
+        opened = _guard_hashing(monkeypatch, out)
+        stream = CampaignStream(campaign, out, shard_size=2)
+        assert not stream.status()["complete"]
+        shards = list(stream)
+        assert outside not in opened
+        assert [s.status for s in shards] == ["repaired", "verified"]
+        assert all(s.path.parent == out for s in shards)
+        assert_bitwise_equal(
+            FieldDataset.concatenate([s.load() for s in shards]), reference
+        )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_KEYS = st.sampled_from(["0", "1", "7", "x"])
+_FILES = st.sampled_from(["../outside.npz", "/etc/hostname", "shard-00000.npz", "a/b"])
+# A well-formed entry ("outside" becomes the hash of a file outside
+# out_dir) and an entry with any field missing or of any JSON type.
+_GOOD_ENTRY = st.fixed_dictionaries(
+    {
+        "sha256": st.sampled_from(["outside", "0" * 64]),
+        "n_runs": st.integers(0, 4),
+        "n_samples": st.integers(0, 40),
+    },
+    optional={"file": _FILES},
+)
+_ANY_ENTRY = _GOOD_ENTRY | st.fixed_dictionaries(
+    {},
+    optional={
+        "file": _FILES | _JSON,
+        "sha256": st.sampled_from(["outside"]) | _JSON,
+        "n_runs": st.integers(-1, 4) | _JSON,
+        "n_samples": st.integers(-1, 40) | _JSON,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def shared_client():
+    with Client(max_wait=0.001, store=ResultStore(capacity=0)) as client:
+        yield client
+
+
+class TestManifestProperty:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        top=_JSON,
+        shards=st.dictionaries(_KEYS, _GOOD_ENTRY, max_size=2)
+        | st.dictionaries(_KEYS, _ANY_ENTRY, max_size=3) | _JSON,
+        top_weight=st.integers(0, 3),
+    )
+    def test_manifest_yields_completed_run_or_value_error(
+        self, shared_client, monkeypatch, top, shards, top_weight
+    ):
+        campaign = tiny_campaign(v0_values=(0.2,), experiments_per_combo=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            out = root / "c"
+            outside = root / "outside.npz"
+            outside.write_bytes(b"not inside the campaign directory")
+            stream = CampaignStream(campaign, out, shard_size=1, client=shared_client)
+            if top_weight:  # mostly a manifest of this campaign
+                digest = stream_module._sha256_file(outside)
+                if isinstance(shards, dict):
+                    for entry in shards.values():
+                        if isinstance(entry, dict) and entry.get("sha256") == "outside":
+                            entry["sha256"] = digest
+                manifest = {"campaign_hash": stream.campaign_hash, "shards": shards}
+            else:
+                manifest = top
+            _write_manifest(out, manifest)
+            with monkeypatch.context() as patch:
+                _guard_hashing(patch, out)
+                try:
+                    stats = stream.run()
+                except ValueError as exc:
+                    assert "manifest" in str(exc)
+                    return
+            assert stats["shards_executed"] + stats["shards_repaired"] == 2
+            assert sorted(p.name for p in out.glob("shard-*.npz")) == [
+                "shard-00000.npz", "shard-00001.npz",
+            ]
 
 
 class TestMemoryBound:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.phasespace.binning import PhaseSpaceGrid
-from repro.vlasov.harvest import expected_counts, harvest_vlasov_dataset
+from repro.config import SimulationConfig
+from repro.vlasov.ensemble import vlasov_config_from
+from repro.vlasov.harvest import expected_counts, harvest_vlasov_ensemble
 from repro.vlasov.solver import (
     VlasovConfig,
     VlasovSimulation,
@@ -19,6 +21,20 @@ def _small_config(**overrides) -> VlasovConfig:
                     perturbation=1e-3)
     defaults.update(overrides)
     return VlasovConfig(**defaults)
+
+
+def _harvest_config(**overrides) -> SimulationConfig:
+    """A ``solver="vlasov"`` run on the ``_small_config`` grid."""
+    defaults = dict(n_cells=32, dt=0.1, n_steps=20, v0=0.2, vth=0.03,
+                    perturbation=1e-3, solver="vlasov", extra={"n_v": 64})
+    defaults.update(overrides)
+    return SimulationConfig(**defaults)
+
+
+def _harvest_grid(cfg: SimulationConfig) -> PhaseSpaceGrid:
+    vcfg = vlasov_config_from(cfg)
+    return PhaseSpaceGrid(n_x=vcfg.n_x, n_v=vcfg.n_v, box_length=vcfg.box_length,
+                          v_min=vcfg.v_min, v_max=vcfg.v_max)
 
 
 class TestConfig:
@@ -186,10 +202,8 @@ class TestHarvest:
             expected_counts(two_stream_distribution(cfg), cfg, grid, 100)
 
     def test_harvest_dataset_shapes_and_stride(self):
-        cfg = _small_config(n_steps=10)
-        grid = PhaseSpaceGrid(n_x=32, n_v=64, box_length=cfg.box_length,
-                              v_min=cfg.v_min, v_max=cfg.v_max)
-        data = harvest_vlasov_dataset(cfg, grid, n_particles=5000, stride=2)
+        cfg = _harvest_config(n_steps=10)
+        data = harvest_vlasov_ensemble([cfg], _harvest_grid(cfg), n_particles=5000, stride=2)
         # Initial state + steps 2, 4, 6, 8, 10.
         assert len(data) == 6
         assert data.inputs.shape == (6, 64, 32)
@@ -203,10 +217,9 @@ class TestHarvest:
         from repro.nn.training import Trainer
         from repro.phasespace.normalization import MinMaxNormalizer
 
-        cfg = _small_config(n_steps=30, perturbation=0.01)
-        grid = PhaseSpaceGrid(n_x=32, n_v=64, box_length=cfg.box_length,
-                              v_min=cfg.v_min, v_max=cfg.v_max)
-        data = harvest_vlasov_dataset(cfg, grid, n_particles=10000)
+        cfg = _harvest_config(n_steps=30, perturbation=0.01)
+        grid = _harvest_grid(cfg)
+        data = harvest_vlasov_ensemble([cfg], grid, n_particles=10000)
         norm = MinMaxNormalizer().fit(data.inputs)
         model = build_mlp(input_size=grid.size, output_size=32, hidden_size=16, rng=0)
         trainer = Trainer(model, MSELoss(), Adam(lr=1e-3))
@@ -218,10 +231,7 @@ class TestHarvest:
 class TestEnsembleHarvest:
     def test_batched_harvest_matches_solo_harvests(self):
         """Registry-routed batched harvest == per-config solo harvests."""
-        from repro.config import SimulationConfig
         from repro.pic.scenarios import load_distribution
-        from repro.vlasov import vlasov_config_from
-        from repro.vlasov.harvest import harvest_vlasov_ensemble
 
         grid = PhaseSpaceGrid(n_x=32, n_v=64, box_length=VlasovConfig().box_length,
                               v_min=-0.5, v_max=0.5)
